@@ -254,7 +254,7 @@ fn main() {
     // windower's single event-time watermark consistent: hour-separated
     // sources at one node would idle-close each other's sessions.
     let live = HdfsWorkload::new(HdfsWorkloadConfig {
-        n_sessions: 200 * N_SOURCES,
+        n_sessions: 800 * N_SOURCES,
         sequential_anomaly_rate: 0.15,
         quantitative_anomaly_rate: 0.0,
         seed: 40,
@@ -417,6 +417,16 @@ fn main() {
     if !restart_out.contains("recovery: replayed") {
         fail(&format!(
             "restarted node reported no recovery:\n{restart_out}"
+        ));
+    }
+    // The survivor must stop on the router's `Fin`, not on the idle-exit
+    // guard: a node that misses its `Fin` runs until an operator kills it.
+    let survivor_out = &outs[1 - victim];
+    if !survivor_out.contains("cluster: router finished the run") {
+        fail(&format!(
+            "surviving node n{} never saw the router's Fin (exited through \
+             MONILOG_IDLE_EXIT_MS):\n{survivor_out}",
+            2 - victim
         ));
     }
 

@@ -1884,6 +1884,13 @@ fn run_sources_monitor(
             processed += 1;
         }
         if let Some(mb) = &mailbox {
+            // The router is waiting on this monitor's durability point and
+            // nothing else is queued: commit now instead of at the next
+            // group-commit boundary, so the acks leave at once. Sources
+            // with no upstream waiting keep the group-commit interval.
+            if queue.depth() == 0 && mb.unacked_batches() > 0 {
+                anomalies.extend(durable.sync_wal()?);
+            }
             // After the batch, not before: a `Revoke` racing lines still
             // queued from the old assignment must discard them too.
             cluster_roundup(mb, &mut durable, &mut known_templates, out);

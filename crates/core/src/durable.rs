@@ -1246,4 +1246,100 @@ mod tests {
         assert_eq!(dm.wal_lag_bytes(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
+
+    /// A fleet member acks a router batch only once its journal fsync
+    /// covers it: lines journaled but still inside the group-commit window
+    /// queue no `Ack`, and the commit that covers them queues it at once.
+    #[test]
+    fn cluster_acks_wait_for_the_fsync() {
+        use monilog_stream::cluster::{encode_frame, BatchEntry, FrameReader, Message};
+        use monilog_stream::{RouterLinkConfig, SourcesConfig, SourcesServer};
+        use std::io::Read;
+        use std::net::TcpListener;
+
+        let dir = tmp_dir("ack-gate");
+        let durable = DurableConfig {
+            checkpoint_interval_ms: u64::MAX,
+            journal: JournalConfig {
+                fsync_interval_ms: u64::MAX, // only an explicit commit syncs
+                ..JournalConfig::default()
+            },
+            ..DurableConfig::new(&dir)
+        };
+        let (mut dm, _) = DurableMoniLog::open(test_config(), durable, || Ok(trained())).unwrap();
+
+        // A stand-in router: accept the link, welcome it, send one batch.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let config = SourcesConfig {
+            router: Some(RouterLinkConfig::new(
+                listener.local_addr().unwrap(),
+                "n1".into(),
+            )),
+            ..SourcesConfig::default()
+        };
+        let (server, queue) =
+            SourcesServer::spawn(config, dm.pipeline().registry(), None, None).unwrap();
+        let mailbox = server.cluster_mailbox().unwrap();
+        let (mut router, _) = listener.accept().unwrap();
+        let src = SourceId(monilog_stream::ROUTER_SOURCE_BASE);
+        let entries = (1..=4u64)
+            .map(|seq| BatchEntry {
+                source: src,
+                seq,
+                line: line(31 + seq).into_bytes(),
+            })
+            .collect();
+        for msg in [
+            Message::Welcome {
+                heartbeat_ms: 250,
+                assigned: vec![src],
+                templates: Vec::new(),
+            },
+            Message::Batch {
+                batch_id: 1,
+                entries,
+            },
+        ] {
+            router.write_all(&encode_frame(&msg)).unwrap();
+        }
+
+        let mut journaled = 0;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while journaled < 4 {
+            assert!(Instant::now() < deadline, "batch never reached the queue");
+            for ev in queue.recv_batch(64, Duration::from_millis(20)) {
+                dm.ingest(&RawLog::new(ev.source, ev.seq.unwrap(), ev.line))
+                    .unwrap();
+                journaled += 1;
+            }
+        }
+        assert_eq!(dm.next_seq(src), 5, "all four lines are journaled");
+        mailbox.publish_journaled(&dm.applied_marks());
+        assert_eq!(mailbox.snapshot().acks_sent, 0, "acked unsynced lines");
+        assert_eq!(mailbox.unacked_batches(), 1);
+
+        dm.sync_wal().unwrap();
+        mailbox.publish_journaled(&dm.applied_marks());
+        assert_eq!(mailbox.snapshot().acks_sent, 1);
+        assert_eq!(mailbox.unacked_batches(), 0);
+
+        router
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = FrameReader::new();
+        let mut buf = [0u8; 4096];
+        let acked = loop {
+            match reader.next_message().unwrap() {
+                Some(Message::Ack { batch_id }) => break batch_id,
+                Some(_) => continue,
+                None => {
+                    let n = router.read(&mut buf).unwrap();
+                    assert!(n > 0, "link closed before acking");
+                    reader.extend(&buf[..n]);
+                }
+            }
+        };
+        assert_eq!(acked, 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -16,13 +16,15 @@
 //! Everything the consumer thread needs crosses through the
 //! [`ClusterMailbox`]: revocations and template snapshots flow out of the
 //! link; journaled high-water marks (the ack gate) and local template
-//! snapshots flow in. A monitor that loses the router is **degraded, not
-//! dead**: local sources keep flowing, the mailbox reports the reason for
-//! `/readyz`, and the supervisor keeps dialing.
+//! snapshots flow in. Publishing a mark queues the `Ack`s it covers and
+//! wakes the loop, so an ack leaves as soon as its fsync lands. A monitor
+//! that loses the router is **degraded, not dead**: local sources keep
+//! flowing, the mailbox reports the reason for `/readyz`, and the
+//! supervisor keeps dialing.
 
 use super::wire::{encode_frame, FrameReader, Message};
 use super::{backoff_delay_ms, ROUTER_SOURCE_BASE};
-use crate::net::{AsLoopFd, Handler, Interest, LoopCtx, Next};
+use crate::net::{AsLoopFd, Handler, Interest, LoopCtx, Next, Waker};
 use crate::sources::{QueueTx, SourceEvent};
 use monilog_model::{ByteLine, SourceId};
 use std::collections::{HashMap, VecDeque};
@@ -128,12 +130,15 @@ struct Inner {
 pub struct ClusterMailbox {
     node: String,
     inner: Mutex<Inner>,
+    /// Wakes the link's event loop when an ack is queued.
+    waker: Waker,
 }
 
 impl ClusterMailbox {
-    pub fn new(node: String) -> Arc<ClusterMailbox> {
+    pub fn new(node: String, waker: Waker) -> Arc<ClusterMailbox> {
         Arc::new(ClusterMailbox {
             node,
+            waker,
             inner: Mutex::new(Inner {
                 state: LinkState::Connecting,
                 reason: None,
@@ -191,12 +196,37 @@ impl ClusterMailbox {
     }
 
     /// The consumer's durability point moved: per-source journal
-    /// high-water marks after an fsync. Unblocks acks on the next tick.
+    /// high-water marks after an fsync. Queues an `Ack` for every in-flight
+    /// batch the marks now cover, in arrival order, and wakes the loop to
+    /// send them. Marks must be fsynced: they are the ack gate.
     pub fn publish_journaled(&self, marks: &[(SourceId, u64)]) {
         let mut g = self.lock();
         for &(source, seq) in marks {
             let hw = g.journaled_hw.entry(source).or_insert(0);
             *hw = (*hw).max(seq);
+        }
+        if g.state != LinkState::Connected {
+            return;
+        }
+        let mut acked = false;
+        loop {
+            let ackable = g.inflight.front().is_some_and(|b| {
+                b.maxima
+                    .iter()
+                    .all(|(s, max)| g.journaled_hw.get(s).copied().unwrap_or(0) >= *max)
+            });
+            if !ackable {
+                break;
+            }
+            let batch = g.inflight.pop_front().expect("front checked");
+            let frame = encode_frame(&Message::Ack { batch_id: batch.id });
+            g.outbox.push_back(frame);
+            g.acks_sent += 1;
+            acked = true;
+        }
+        drop(g);
+        if acked {
+            self.waker.wake();
         }
     }
 
@@ -287,18 +317,14 @@ impl Handler for LinkSupervisor {
                 let fd = conn.loop_fd();
                 ctx.register(
                     fd,
-                    Box::new(LinkConn {
+                    Box::new(LinkConn::new(
                         conn,
-                        tx: self.tx.clone(),
-                        mailbox: self.mailbox.clone(),
-                        alive: self.conn_alive.clone(),
-                        reader: FrameReader::new(),
-                        wbuf: hello,
-                        wpos: 0,
-                        pending: VecDeque::new(),
-                        last_rx: now,
-                        last_hb_sent: now,
-                    }),
+                        self.tx.clone(),
+                        self.mailbox.clone(),
+                        self.conn_alive.clone(),
+                        hello,
+                        now,
+                    )),
                 );
                 self.next_attempt = None;
             }
@@ -347,6 +373,29 @@ struct LinkConn {
 }
 
 impl LinkConn {
+    /// A fresh session whose first outgoing frame is `hello`.
+    fn new(
+        conn: TcpStream,
+        tx: QueueTx,
+        mailbox: Arc<ClusterMailbox>,
+        alive: Arc<AtomicBool>,
+        hello: Vec<u8>,
+        now: Instant,
+    ) -> LinkConn {
+        LinkConn {
+            conn,
+            tx,
+            mailbox,
+            alive,
+            reader: FrameReader::new(),
+            wbuf: hello,
+            wpos: 0,
+            pending: VecDeque::new(),
+            last_rx: now,
+            last_hb_sent: now,
+        }
+    }
+
     fn drop_link(&mut self, reason: &str) -> Next {
         self.alive.store(false, Ordering::SeqCst);
         let mut g = self.mailbox.lock();
@@ -444,26 +493,27 @@ impl LinkConn {
         }
     }
 
-    /// Ack every inflight batch the journal now covers, send heartbeats
-    /// and queued template snapshots. Called from tick.
+    /// Decode buffered frames. Stops while the ingest queue holds the
+    /// link back, unless `all` (the socket hit EOF: every frame the router
+    /// managed to send, its `Fin` included, must be seen before the link
+    /// drops; held batch lines die with the session and replay).
+    fn decode_frames(&mut self, now: Instant, all: bool) -> Result<(), &'static str> {
+        while all || self.pending.len() <= PENDING_HOLD_LIMIT {
+            match self.reader.next_message() {
+                Ok(Some(msg)) => self.handle_message(msg, now)?,
+                Ok(None) => break,
+                Err(_) => return Err("router-link-lost: corrupt frame"),
+            }
+        }
+        Ok(())
+    }
+
+    /// Send heartbeats and queued template snapshots. Called from tick;
+    /// acks are queued by [`ClusterMailbox::publish_journaled`].
     fn pump_protocol(&mut self, now: Instant) {
         let mut g = self.mailbox.lock();
         if g.state != LinkState::Connected {
             return;
-        }
-        loop {
-            let ackable = g.inflight.front().is_some_and(|b| {
-                b.maxima
-                    .iter()
-                    .all(|(s, max)| g.journaled_hw.get(s).copied().unwrap_or(0) >= *max)
-            });
-            if !ackable {
-                break;
-            }
-            let batch = g.inflight.pop_front().expect("front checked");
-            let frame = encode_frame(&Message::Ack { batch_id: batch.id });
-            g.outbox.push_back(frame);
-            g.acks_sent += 1;
         }
         if now - self.last_hb_sent >= Duration::from_millis(g.heartbeat_ms) {
             self.last_hb_sent = now;
@@ -506,28 +556,26 @@ impl Handler for LinkConn {
         let now = ctx.now;
         if readable && self.pending.len() <= PENDING_HOLD_LIMIT {
             let mut buf = [0u8; 64 * 1024];
+            let mut eof = false;
             loop {
                 match self.conn.read(&mut buf) {
-                    Ok(0) => return self.drop_link("router-link-lost: eof"),
+                    Ok(0) => {
+                        eof = true;
+                        break;
+                    }
                     Ok(n) => self.reader.extend(&buf[..n]),
                     Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(_) => return self.drop_link("router-link-lost: read error"),
                 }
             }
-            loop {
-                if self.pending.len() > PENDING_HOLD_LIMIT {
-                    break;
-                }
-                match self.reader.next_message() {
-                    Ok(Some(msg)) => {
-                        if let Err(what) = self.handle_message(msg, now) {
-                            return self.drop_link(what);
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(_) => return self.drop_link("router-link-lost: corrupt frame"),
-                }
+            // Frames first, then the EOF: a `Fin` and the close that
+            // follows it often arrive in one read.
+            if let Err(what) = self.decode_frames(now, eof) {
+                return self.drop_link(what);
+            }
+            if eof {
+                return self.drop_link("router-link-lost: eof");
             }
         }
         if self.pump_out().is_err() {
@@ -539,21 +587,8 @@ impl Handler for LinkConn {
     fn tick(&mut self, now: Instant, _ctx: &mut LoopCtx<'_>) -> Next {
         self.drain_pending();
         // Process frames parked in the reader while we were holding.
-        if self.pending.len() <= PENDING_HOLD_LIMIT {
-            loop {
-                if self.pending.len() > PENDING_HOLD_LIMIT {
-                    break;
-                }
-                match self.reader.next_message() {
-                    Ok(Some(msg)) => {
-                        if let Err(what) = self.handle_message(msg, now) {
-                            return self.drop_link(what);
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(_) => return self.drop_link("router-link-lost: corrupt frame"),
-                }
-            }
+        if let Err(what) = self.decode_frames(now, false) {
+            return self.drop_link(what);
         }
         self.pump_protocol(now);
         let silence_cap = {
@@ -574,5 +609,174 @@ impl Handler for LinkConn {
             read: self.pending.len() <= PENDING_HOLD_LIMIT,
             write: self.has_output(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::BatchEntry;
+    use crate::net::EventLoop;
+    use crate::sources::{bounded_queue, SourceQueue};
+    use std::net::{Shutdown, TcpListener};
+
+    /// One link session over a real socket pair, on its own event loop.
+    /// `router` is the router's end of the socket.
+    struct Session {
+        router: TcpStream,
+        mailbox: Arc<ClusterMailbox>,
+        queue: SourceQueue,
+        stop: Arc<AtomicBool>,
+        thread: Option<std::thread::JoinHandle<()>>,
+    }
+
+    impl Drop for Session {
+        fn drop(&mut self) {
+            self.stop.store(true, Ordering::SeqCst);
+            self.mailbox.waker.wake();
+            if let Some(t) = self.thread.take() {
+                let _ = t.join();
+            }
+        }
+    }
+
+    /// The router writes `frames` (and, with `close`, ends its side of the
+    /// stream) before the link's loop starts, so the link's first read sees
+    /// all of it at once.
+    fn session(frames: &[Message], close: bool) -> Session {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let conn = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut router, _) = listener.accept().unwrap();
+        for msg in frames {
+            router.write_all(&encode_frame(msg)).unwrap();
+        }
+        if close {
+            router.shutdown(Shutdown::Write).unwrap();
+        }
+        conn.set_nonblocking(true).unwrap();
+        let mut el = EventLoop::new().unwrap();
+        let mailbox = ClusterMailbox::new("n1".into(), el.waker());
+        let (tx, queue) = bounded_queue(64);
+        let hello = encode_frame(&Message::Hello {
+            node: "n1".into(),
+            resume: false,
+        });
+        let link = LinkConn::new(
+            conn,
+            tx,
+            mailbox.clone(),
+            Arc::new(AtomicBool::new(true)),
+            hello,
+            Instant::now(),
+        );
+        el.register(link.conn.loop_fd(), Box::new(link)).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let thread = std::thread::spawn({
+            let stop = stop.clone();
+            move || el.run(stop)
+        });
+        Session {
+            router,
+            mailbox,
+            queue,
+            stop,
+            thread: Some(thread),
+        }
+    }
+
+    fn welcome() -> Message {
+        Message::Welcome {
+            heartbeat_ms: 250,
+            assigned: vec![SourceId(ROUTER_SOURCE_BASE)],
+            templates: Vec::new(),
+        }
+    }
+
+    fn batch(batch_id: u64, seqs: std::ops::RangeInclusive<u64>) -> Message {
+        Message::Batch {
+            batch_id,
+            entries: seqs
+                .map(|seq| BatchEntry {
+                    source: SourceId(ROUTER_SOURCE_BASE),
+                    seq,
+                    line: format!("line {seq}").into_bytes(),
+                })
+                .collect(),
+        }
+    }
+
+    /// Poll `cond` until it holds; the deadline only bounds a failure.
+    fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The next `Ack` the router reads, skipping `Hello` and heartbeats.
+    fn next_ack(router: &mut TcpStream, reader: &mut FrameReader) -> u64 {
+        router
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut buf = [0u8; 4096];
+        loop {
+            match reader.next_message().unwrap() {
+                Some(Message::Ack { batch_id }) => return batch_id,
+                Some(_) => continue,
+                None => {
+                    let n = router.read(&mut buf).unwrap();
+                    assert!(n > 0, "link closed before acking");
+                    reader.extend(&buf[..n]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fin_arriving_with_the_eof_is_not_lost() {
+        let s = session(&[welcome(), Message::Fin], true);
+        wait_for(
+            || s.mailbox.snapshot().state == LinkState::Degraded,
+            "the link to see the EOF",
+        );
+        assert!(
+            s.mailbox.fin_received(),
+            "Fin read in the same call as the EOF was dropped"
+        );
+    }
+
+    #[test]
+    fn publish_acks_fsynced_batches_at_once_and_no_others() {
+        let mut s = session(&[welcome(), batch(1, 1..=4), batch(2, 5..=8)], false);
+        let mut lines = 0;
+        wait_for(
+            || {
+                lines += s.queue.recv_batch(64, Duration::from_millis(1)).len();
+                lines == 8
+            },
+            "both batches in the ingest queue",
+        );
+        let src = SourceId(ROUTER_SOURCE_BASE);
+        assert_eq!(s.mailbox.unacked_batches(), 2);
+
+        // Lines 1..=4 are journaled but only 1..=3 are fsynced: batch 1
+        // must not be acked.
+        s.mailbox.publish_journaled(&[(src, 3)]);
+        assert_eq!(s.mailbox.snapshot().acks_sent, 0);
+        assert_eq!(s.mailbox.unacked_batches(), 2);
+
+        // The fsync reaches line 4: batch 1's ack is queued by the call
+        // itself, not by a later tick.
+        s.mailbox.publish_journaled(&[(src, 4)]);
+        assert_eq!(s.mailbox.snapshot().acks_sent, 1);
+        assert_eq!(s.mailbox.unacked_batches(), 1);
+        let mut reader = FrameReader::new();
+        assert_eq!(next_ack(&mut s.router, &mut reader), 1);
+
+        s.mailbox.publish_journaled(&[(src, 8)]);
+        assert_eq!(s.mailbox.snapshot().acks_sent, 2);
+        assert_eq!(s.mailbox.unacked_batches(), 0);
+        assert_eq!(next_ack(&mut s.router, &mut reader), 2);
     }
 }

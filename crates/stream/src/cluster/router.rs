@@ -24,11 +24,21 @@
 //! in-flight bookkeeping, are the single source of truth: on any
 //! disconnect the outbox and in-flight queue are discarded and the next
 //! session replays from the mark.
+//!
+//! ## Flow control
+//!
+//! Each node holds at most `max_inflight` sealed, unacked batches of
+//! `batch_lines` lines; [`Router::route_line`] blocks past that window. A
+//! monitor acks a batch only once its journal fsync covers it. Every event
+//! that queues a frame (a sealed batch, a replay, `Welcome`/`Revoke`, the
+//! `Fin` that follows a node's last ack) wakes the event loop, so the frame
+//! leaves at once; the loop's tick only paces heartbeats, dead-node timers
+//! and rebalance backoff.
 
 use super::wire::{encode_frame, BatchEntry, FrameReader, Message};
 use super::{backoff_delay_ms, rendezvous_owner};
 use crate::durable::DurabilityError;
-use crate::net::{AsLoopFd, EventLoop, Handler, Interest, LoopCtx, Next};
+use crate::net::{AsLoopFd, EventLoop, Handler, Interest, LoopCtx, Next, Waker};
 use crate::sinks::{BufferedReport, DeliveryBuffer};
 use monilog_model::{DeliveryClass, SourceId, TemplateStore};
 use std::collections::{HashMap, VecDeque};
@@ -158,13 +168,10 @@ struct Node {
     dead_since: Option<Instant>,
     rebalance_at: Option<Instant>,
     rebalance_attempt: u32,
+    /// `Fin` is queued in the outbox.
     fin_sent: bool,
-}
-
-impl Node {
-    fn drained(&self) -> bool {
-        self.pending.is_empty() && self.inflight.is_empty() && self.outbox.is_empty()
-    }
+    /// `Fin` has left the router's buffers for the socket.
+    fin_written: bool,
 }
 
 struct Core {
@@ -184,6 +191,10 @@ struct Core {
     stats: RouterStats,
     /// Fatal loop-side error surfaced to the driver.
     failure: Option<String>,
+    /// Wakes the event loop after a frame is queued off a callback (the
+    /// thread calling `route_line`, or a handler queueing for another
+    /// node's connection).
+    waker: Waker,
 }
 
 impl Core {
@@ -215,9 +226,27 @@ impl Core {
             return Ok(());
         }
         let entries = std::mem::take(&mut node.pending);
+        let maxima = self.retain(&entries)?;
+        let id = self.next_batch_id;
+        self.next_batch_id += 1;
+        let frame = encode_frame(&Message::Batch {
+            batch_id: id,
+            entries,
+        });
+        let node = self.nodes.get_mut(name).expect("sealing unknown node");
+        node.inflight.push_back(Inflight { id, maxima });
+        node.outbox.push_back(frame);
+        self.stats.batches_sent += 1;
+        self.waker.wake();
+        Ok(())
+    }
+
+    /// Journal `entries` to their sources' retention buffers; returns the
+    /// per-source max seq.
+    fn retain(&mut self, entries: &[BatchEntry]) -> Result<Vec<(SourceId, u64)>, DurabilityError> {
         let mut by_source: HashMap<SourceId, Vec<BufferedReport>> = HashMap::new();
         let mut maxima: Vec<(SourceId, u64)> = Vec::new();
-        for e in &entries {
+        for e in entries {
             by_source.entry(e.source).or_default().push(BufferedReport {
                 id: e.seq,
                 class: DeliveryClass::Log,
@@ -231,17 +260,7 @@ impl Core {
         for (source, reports) in &by_source {
             self.retention_for(*source)?.append(reports)?;
         }
-        let id = self.next_batch_id;
-        self.next_batch_id += 1;
-        let frame = encode_frame(&Message::Batch {
-            batch_id: id,
-            entries,
-        });
-        let node = self.nodes.get_mut(name).expect("sealing unknown node");
-        node.inflight.push_back(Inflight { id, maxima });
-        node.outbox.push_back(frame);
-        self.stats.batches_sent += 1;
-        Ok(())
+        Ok(maxima)
     }
 
     /// Queue a replay of `source` toward `name`, skipping everything at or
@@ -283,7 +302,27 @@ impl Core {
             queued += chunk.len() as u64;
         }
         self.stats.lines_replayed += queued;
+        if queued > 0 {
+            self.waker.wake();
+        }
         Ok(queued)
+    }
+
+    /// After end of input, queue `Fin` for `name` once it has nothing
+    /// pending or in flight. Called when that can first become true: at
+    /// `finish`, on each ack, and on a (re)join.
+    fn queue_fin_if_drained(&mut self, name: &str) {
+        if !self.finished {
+            return;
+        }
+        let Some(node) = self.nodes.get_mut(name) else {
+            return;
+        };
+        if node.connected && !node.fin_sent && node.pending.is_empty() && node.inflight.is_empty() {
+            node.outbox.push_back(encode_frame(&Message::Fin));
+            node.fin_sent = true;
+            self.waker.wake();
+        }
     }
 
     /// Every accepted line is durably acked by its current owner.
@@ -318,6 +357,15 @@ impl Core {
         node.inflight.clear();
         node.sent_hw = node.acked_hw.clone();
         node.fin_sent = false;
+        node.fin_written = false;
+        // Lines routed to the node but not sealed yet join the retention
+        // buffers, so the replay to whichever node owns their sources next
+        // carries them; left here they would be missing from that replay
+        // and sent to this node on its next flush.
+        let unsealed = std::mem::take(&mut node.pending);
+        if let Err(e) = self.retain(&unsealed) {
+            self.failure = Some(format!("retaining {name}'s unsealed lines failed: {e}"));
+        }
     }
 
     /// Move every source owned by `dead` to a survivor and queue a full
@@ -386,6 +434,7 @@ impl Shared {
 pub struct Router {
     shared: Arc<Shared>,
     stop: Arc<AtomicBool>,
+    waker: Waker,
     local_addr: SocketAddr,
     thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -397,6 +446,8 @@ impl Router {
         let listener = TcpListener::bind(cfg.listen)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        let mut el = EventLoop::new()?;
+        let waker = el.waker();
 
         let shared = Arc::new(Shared {
             core: Mutex::new(Core {
@@ -411,11 +462,11 @@ impl Router {
                 finished: false,
                 stats: RouterStats::default(),
                 failure: None,
+                waker: waker.clone(),
             }),
             cv: Condvar::new(),
         });
 
-        let mut el = EventLoop::new()?;
         el.register(
             listener.loop_fd(),
             Box::new(ClusterListener {
@@ -436,6 +487,7 @@ impl Router {
         Ok(Router {
             shared,
             stop,
+            waker,
             local_addr,
             thread: Some(thread),
         })
@@ -529,20 +581,23 @@ impl Router {
         })
     }
 
-    /// Declare end of input, wait until every accepted line is durably
-    /// acked by its current owner (riding out any failovers in between),
-    /// then send `Fin` and let the fleet drain.
+    /// Declare end of input and wait until every accepted line is durably
+    /// acked by its current owner (riding out any failovers in between)
+    /// and every connected node's `Fin` has been written to its socket, so
+    /// a [`Router::shutdown`] right after cannot cut a `Fin` short.
     pub fn finish(&self, timeout: Duration) -> Result<RouterStats, RouterError> {
         self.flush()?;
-        self.shared.with(|core| core.finished = true);
+        self.shared.with(|core| {
+            core.finished = true;
+            for name in core.connected_nodes() {
+                core.queue_fin_if_drained(&name);
+            }
+        });
         let deadline = Instant::now() + timeout;
         let mut core = self.shared.core.lock().expect("router core poisoned");
         loop {
-            let settled = core.fully_acked()
-                && core
-                    .nodes
-                    .values()
-                    .all(|n| !n.connected || (n.drained() && n.fin_sent));
+            let settled =
+                core.fully_acked() && core.nodes.values().all(|n| !n.connected || n.fin_written);
             if settled {
                 return Ok(core.snapshot_stats());
             }
@@ -570,6 +625,7 @@ impl Router {
 
     fn stop_inner(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -658,6 +714,7 @@ impl NodeConn {
             node.inflight.clear();
             node.sent_hw = node.acked_hw.clone();
             node.fin_sent = false;
+            node.fin_written = false;
             if rejoin {
                 core.stats.rejoins += 1;
             }
@@ -722,6 +779,11 @@ impl NodeConn {
                     }
                 }
             }
+            // A node rejoining after end of input with nothing to replay
+            // is done already.
+            core.queue_fin_if_drained(&name);
+            // Welcome and Revokes leave now, not on the next tick.
+            core.waker.wake();
             gen
         });
         self.gen = gen;
@@ -759,6 +821,7 @@ impl NodeConn {
                             core.stats.batches_acked += 1;
                         }
                     }
+                    core.queue_fin_if_drained(&name);
                 });
                 Ok(())
             }
@@ -798,6 +861,7 @@ impl NodeConn {
                         for node in core.nodes.values_mut().filter(|n| n.connected) {
                             node.outbox.push_back(frame.clone());
                         }
+                        core.waker.wake();
                     }
                 });
                 Ok(())
@@ -822,11 +886,16 @@ impl NodeConn {
                         let gen = self.gen;
                         self.shared.with(|core| {
                             core.nodes.get_mut(name).and_then(|n| {
-                                if n.conn_gen == gen {
-                                    n.outbox.pop_front()
-                                } else {
-                                    None
+                                if n.conn_gen != gen {
+                                    return None;
                                 }
+                                let next = n.outbox.pop_front();
+                                // Outbox empty and the last frame fully
+                                // written: a queued `Fin` is on the socket.
+                                if next.is_none() && n.fin_sent {
+                                    n.fin_written = true;
+                                }
+                                next
                             })
                         })
                     }
@@ -914,7 +983,6 @@ impl Handler for NodeConn {
             let alive = self.shared.with(|core| {
                 let dead_after = Duration::from_millis(core.cfg.dead_after_ms);
                 let heartbeat = Duration::from_millis(core.cfg.heartbeat_ms);
-                let finished = core.finished;
                 let Some(node) = core.nodes.get_mut(&name) else {
                     return false;
                 };
@@ -933,11 +1001,6 @@ impl Handler for NodeConn {
                     node.outbox.push_back(encode_frame(&Message::Heartbeat {
                         depth: node.inflight.len() as u32,
                     }));
-                }
-                if finished && !node.fin_sent && node.pending.is_empty() && node.inflight.is_empty()
-                {
-                    node.outbox.push_back(encode_frame(&Message::Fin));
-                    node.fin_sent = true;
                 }
                 true
             });
@@ -1191,6 +1254,74 @@ mod tests {
             );
         }
         assert_complete(&merged, &sources, 25);
+        router.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `finish` returns only once each node's `Fin` is on its socket, so a
+    /// `shutdown` right after it cannot cut the `Fin` short: every monitor
+    /// still sees it.
+    #[test]
+    fn finish_returns_after_every_fin_is_written() {
+        let dir = tmp_dir("fin");
+        for round in 0..3 {
+            let router = Router::spawn(fast_config(&dir)).unwrap();
+            let a = TestMonitor::spawn("mon-a", router.local_addr());
+            let b = TestMonitor::spawn("mon-b", router.local_addr());
+            router.wait_for_nodes(2, Duration::from_secs(5)).unwrap();
+            let sources: Vec<SourceId> = (32..36).map(SourceId).collect();
+            feed(&router, &sources, 1..=9);
+            router.finish(Duration::from_secs(10)).unwrap();
+            {
+                let core = router.shared.core.lock().unwrap();
+                for (name, node) in &core.nodes {
+                    assert!(
+                        !node.connected || node.fin_written,
+                        "round {round}: finish returned before {name}'s Fin was written"
+                    );
+                }
+            }
+            router.shutdown();
+            for monitor in [&a, &b] {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !monitor.mailbox.fin_received() {
+                    assert!(
+                        Instant::now() < deadline,
+                        "round {round}: a monitor never received its Fin"
+                    );
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            }
+            let _ = a.join();
+            let _ = b.join();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Lines routed to a node but not sealed when it dies reach the node
+    /// that takes its sources over, and never the dead node on its return.
+    #[test]
+    fn unsealed_lines_of_a_dead_node_follow_its_sources() {
+        let dir = tmp_dir("unsealed");
+        let mut cfg = fast_config(&dir);
+        cfg.batch_lines = 1_000; // nothing seals before `finish`
+        let router = Router::spawn(cfg).unwrap();
+        let a = TestMonitor::spawn("mon-a", router.local_addr());
+        router.wait_for_nodes(1, Duration::from_secs(5)).unwrap();
+        let sources: Vec<SourceId> = (32..34).map(SourceId).collect();
+        feed(&router, &sources, 1..=5);
+        let _ = a.join(); // dies holding every line unsealed
+
+        let b = TestMonitor::spawn("mon-b", router.local_addr());
+        feed(&router, &sources, 6..=10); // blocks until mon-b owns them
+        let a2 = TestMonitor::spawn("mon-a", router.local_addr());
+        router.wait_for_nodes(2, Duration::from_secs(5)).unwrap();
+        router.finish(Duration::from_secs(10)).unwrap();
+        assert_complete(&b.join(), &sources, 10);
+        assert!(
+            a2.join().is_empty(),
+            "the returning node was sent lines it no longer owns"
+        );
         router.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

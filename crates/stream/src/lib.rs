@@ -84,7 +84,7 @@ pub use durable::{
 pub use export::MetricsExporter;
 pub use merge::{BoundedReorderBuffer, DedupFilter};
 pub use metrics::PipelineMetrics;
-pub use net::{AsLoopFd, EventLoop, Handler, Interest, LoopCtx, Next};
+pub use net::{AsLoopFd, EventLoop, Handler, Interest, LoopCtx, Next, Waker};
 pub use observe::{
     Exemplar, HistogramSnapshot, LatencyHistogram, MetricsRegistry, MetricsSnapshot, RateSnapshot,
     ShardGauges, ShardSnapshot, SizeHistogram, SizeSnapshot, Stage, StageSnapshot,

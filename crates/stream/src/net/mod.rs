@@ -8,12 +8,19 @@
 //! used by the file tailer). The loop dispatches readiness to handlers,
 //! re-arms interest after every callback, and fires a coarse periodic tick so
 //! handlers can enforce idle timeouts and deadlines without per-connection
-//! timers.
+//! timers. The first tick fires as the loop starts, so timer handlers (a
+//! link dialing its router, a tail opening its file) begin at once.
+//!
+//! Other threads queue output for a handler (a router sealing a batch, a
+//! monitor acking an fsync) and then call [`Waker::wake`]: the loop leaves
+//! its wait and re-queries every handler's [`Handler::interest`], so queued
+//! output is written at once instead of on the next tick.
 //!
 //! The design goal is the smallest loop that removes head-of-line blocking:
-//! no wakers, no futures, level-triggered epoll only. On non-Linux platforms
-//! a timed sweep poller keeps everything compiling and functional (handlers
-//! already tolerate spurious readiness because epoll is level-triggered).
+//! no futures, level-triggered epoll only, one eventfd for wakes. On
+//! non-Linux platforms a timed sweep poller keeps everything compiling and
+//! functional (handlers already tolerate spurious readiness because epoll is
+//! level-triggered); there a wake cuts the sweep's sleep short.
 
 pub mod sys;
 
@@ -134,6 +141,56 @@ struct Entry {
     armed: Interest,
 }
 
+/// Epoll token of the waker's eventfd; handler tokens start at 1.
+const WAKE_TOKEN: u64 = 0;
+
+/// Cross-thread handle that interrupts an [`EventLoop`]'s wait. Queue the
+/// output first, then wake: the loop re-queries every handler's interest
+/// after the wake, so a handler with something to write is armed for it.
+/// Wakes that land before the loop gets to them coalesce into one.
+#[derive(Clone)]
+pub struct Waker {
+    inner: Arc<WakerInner>,
+}
+
+struct WakerInner {
+    pending: AtomicBool,
+    #[cfg(target_os = "linux")]
+    efd: sys::EventFd,
+}
+
+impl Waker {
+    fn new() -> io::Result<Waker> {
+        Ok(Waker {
+            inner: Arc::new(WakerInner {
+                pending: AtomicBool::new(false),
+                #[cfg(target_os = "linux")]
+                efd: sys::EventFd::new()?,
+            }),
+        })
+    }
+
+    /// Make the loop leave its wait and re-query handler interest.
+    pub fn wake(&self) {
+        if !self.inner.pending.swap(true, Ordering::AcqRel) {
+            #[cfg(target_os = "linux")]
+            self.inner.efd.notify();
+        }
+    }
+
+    fn is_pending(&self) -> bool {
+        self.inner.pending.load(Ordering::Acquire)
+    }
+
+    /// Loop side: consume the pending wake, if any. Clearing the flag after
+    /// the eventfd was drained means a wake racing this call either sees the
+    /// flag set (and its state change is visible to the re-query that
+    /// follows) or notifies the eventfd again.
+    fn take(&self) -> bool {
+        self.inner.pending.swap(false, Ordering::AcqRel)
+    }
+}
+
 /// Platform poller: epoll on Linux, timed sweep elsewhere.
 enum Poller {
     #[cfg(target_os = "linux")]
@@ -144,13 +201,22 @@ enum Poller {
 }
 
 impl Poller {
-    fn new() -> io::Result<Poller> {
+    fn new(waker: &Waker) -> io::Result<Poller> {
         #[cfg(target_os = "linux")]
         {
-            return Ok(Poller::Epoll(sys::Epoll::new()?));
+            let ep = sys::Epoll::new()?;
+            ep.add(
+                std::os::unix::io::AsRawFd::as_raw_fd(&waker.inner.efd),
+                sys::EPOLLIN,
+                WAKE_TOKEN,
+            )?;
+            return Ok(Poller::Epoll(ep));
         }
         #[allow(unreachable_code)]
-        Ok(Poller::Sweep(HashMap::new()))
+        {
+            let _ = waker;
+            Ok(Poller::Sweep(HashMap::new()))
+        }
     }
 
     fn events_for(interest: Interest) -> u32 {
@@ -208,8 +274,14 @@ impl Poller {
         }
     }
 
-    /// Collect `(token, readable, writable)` triples.
-    fn wait(&mut self, out: &mut Vec<(u64, bool, bool)>, timeout: Duration) -> io::Result<()> {
+    /// Collect `(token, readable, writable)` triples. Returns early when
+    /// `waker` fires; the wake itself is not reported as a triple.
+    fn wait(
+        &mut self,
+        out: &mut Vec<(u64, bool, bool)>,
+        timeout: Duration,
+        waker: &Waker,
+    ) -> io::Result<()> {
         match self {
             #[cfg(target_os = "linux")]
             Poller::Epoll(ep) => {
@@ -217,6 +289,10 @@ impl Poller {
                 let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
                 ep.wait(&mut raw, ms)?;
                 for (token, events) in raw {
+                    if token == WAKE_TOKEN {
+                        waker.inner.efd.drain();
+                        continue;
+                    }
                     let err = events & (sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0;
                     // Surface errors/hangups as readability so handlers see
                     // the EOF/error from their next read().
@@ -227,7 +303,11 @@ impl Poller {
                 Ok(())
             }
             Poller::Sweep(map) => {
-                std::thread::sleep(timeout.min(Duration::from_millis(5)));
+                // Sleep in short slices so a wake cuts the sweep short.
+                let until = Instant::now() + timeout.min(Duration::from_millis(5));
+                while !waker.is_pending() && Instant::now() < until {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
                 for (&token, &interest) in map.iter() {
                     if interest.read || interest.write {
                         out.push((token, interest.read, interest.write));
@@ -243,21 +323,29 @@ impl Poller {
 /// a thread via [`EventLoop::run`].
 pub struct EventLoop {
     poller: Poller,
+    waker: Waker,
     entries: HashMap<u64, Entry>,
     next_token: u64,
 }
 
 impl EventLoop {
     /// Tick cadence: idle-timeout resolution and the upper bound on how long
-    /// a stop request can go unnoticed.
+    /// a stop request can go unnoticed (unless the stopper also wakes).
     pub const TICK: Duration = Duration::from_millis(50);
 
     pub fn new() -> io::Result<EventLoop> {
+        let waker = Waker::new()?;
         Ok(EventLoop {
-            poller: Poller::new()?,
+            poller: Poller::new(&waker)?,
+            waker,
             entries: HashMap::new(),
             next_token: 1,
         })
+    }
+
+    /// A handle other threads use to interrupt this loop's wait.
+    pub fn waker(&self) -> Waker {
+        self.waker.clone()
     }
 
     /// Register an fd-backed handler. The fd must already be non-blocking.
@@ -330,14 +418,20 @@ impl EventLoop {
         let mut ready = Vec::new();
         let mut adds: Vec<Registration> = Vec::new();
         let mut closes: Vec<u64> = Vec::new();
-        let mut last_tick = Instant::now();
+        // `None` until the first tick, which fires as the loop starts.
+        let mut last_tick: Option<Instant> = None;
 
         while !stop.load(Ordering::SeqCst) {
             ready.clear();
-            let until_tick = Self::TICK.saturating_sub(last_tick.elapsed());
+            let until_tick =
+                last_tick.map_or(Duration::ZERO, |t| Self::TICK.saturating_sub(t.elapsed()));
             if self
                 .poller
-                .wait(&mut ready, until_tick.max(Duration::from_millis(1)))
+                .wait(
+                    &mut ready,
+                    until_tick.max(Duration::from_millis(1)),
+                    &self.waker,
+                )
                 .is_err()
             {
                 break;
@@ -357,21 +451,31 @@ impl EventLoop {
                 self.apply(token, verdict, &mut closes);
             }
 
-            if last_tick.elapsed() >= Self::TICK {
-                last_tick = Instant::now();
+            if last_tick.is_none_or(|t| t.elapsed() >= Self::TICK) {
+                let now = Instant::now();
+                last_tick = Some(now);
                 let tokens: Vec<u64> = self.entries.keys().copied().collect();
                 for token in tokens {
                     let verdict = match self.entries.get_mut(&token) {
                         Some(entry) => {
                             let mut ctx = LoopCtx {
                                 adds: &mut adds,
-                                now: last_tick,
+                                now,
                             };
-                            entry.handler.tick(last_tick, &mut ctx)
+                            entry.handler.tick(now, &mut ctx)
                         }
                         None => continue,
                     };
                     self.apply(token, verdict, &mut closes);
+                }
+            }
+
+            // Another thread queued output: re-arm every handler so the
+            // ones with something to write get it out on the next wait.
+            if self.waker.take() {
+                let tokens: Vec<u64> = self.entries.keys().copied().collect();
+                for token in tokens {
+                    self.apply(token, Next::Keep, &mut closes);
                 }
             }
 
@@ -549,6 +653,97 @@ mod tests {
         assert!(
             ticks.load(Ordering::SeqCst) >= 2,
             "timer handler never ticked"
+        );
+    }
+
+    /// Writes whatever another thread queued; counts ticks so the test can
+    /// tell a wake-driven write from a tick-driven one.
+    struct QueuedWriter {
+        conn: TcpStream,
+        queue: Arc<Mutex<Vec<u8>>>,
+        ticks: Arc<AtomicUsize>,
+    }
+
+    impl Handler for QueuedWriter {
+        fn ready(&mut self, _r: bool, _w: bool, _ctx: &mut LoopCtx<'_>) -> Next {
+            let mut q = self.queue.lock().unwrap();
+            match self.conn.write(&q) {
+                Ok(n) => {
+                    q.drain(..n);
+                    Next::Keep
+                }
+                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => Next::Keep,
+                Err(_) => Next::Close,
+            }
+        }
+        fn tick(&mut self, _now: Instant, _ctx: &mut LoopCtx<'_>) -> Next {
+            self.ticks.fetch_add(1, Ordering::SeqCst);
+            Next::Keep
+        }
+        fn interest(&self) -> Interest {
+            Interest {
+                read: false,
+                write: !self.queue.lock().unwrap().is_empty(),
+            }
+        }
+    }
+
+    /// Output queued from another thread leaves on the wake, not on the
+    /// next tick. Without the waker the loop re-queries interest only after
+    /// a callback or a tick, so every frame below would wait for a tick.
+    #[test]
+    fn wake_writes_queued_output_without_a_tick() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        let queue = Arc::new(Mutex::new(Vec::new()));
+        let ticks = Arc::new(AtomicUsize::new(0));
+        let mut el = EventLoop::new().unwrap();
+        let waker = el.waker();
+        el.register(
+            server.loop_fd(),
+            Box::new(QueuedWriter {
+                conn: server,
+                queue: queue.clone(),
+                ticks: ticks.clone(),
+            }),
+        )
+        .unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let h = std::thread::spawn({
+            let stop = stop.clone();
+            move || el.run(stop)
+        });
+        // Let the start-up tick pass so it cannot carry the first frame.
+        while ticks.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        const FRAMES: usize = 10;
+        let mut without_tick = 0;
+        for i in 0..FRAMES {
+            let before = ticks.load(Ordering::SeqCst);
+            queue.lock().unwrap().push(i as u8);
+            waker.wake();
+            let mut got = [0u8; 1];
+            client.read_exact(&mut got).unwrap();
+            assert_eq!(got[0], i as u8);
+            if ticks.load(Ordering::SeqCst) == before {
+                without_tick += 1;
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+        waker.wake();
+        h.join().unwrap();
+        // A tick may still land inside a write on a loaded host; the wake
+        // path must carry most frames.
+        assert!(
+            without_tick > FRAMES / 2,
+            "only {without_tick} of {FRAMES} frames left without a tick"
         );
     }
 

@@ -1,17 +1,21 @@
-//! Raw `epoll(7)` FFI, in the same spirit as the `signal(2)` shim in
-//! `durable::signal` and the `SO_REUSEADDR` shim in `export`: we link the
-//! three syscall wrappers straight out of libc instead of pulling in a
-//! dependency for a handful of constants.
+//! Raw `epoll(7)` and `eventfd(2)` FFI, in the same spirit as the
+//! `signal(2)` shim in `durable::signal` and the `SO_REUSEADDR` shim in
+//! `export`: we link the syscall wrappers straight out of libc instead of
+//! pulling in a dependency for a handful of constants.
 //!
 //! Only the Linux ABI is bound here; `net::poll` falls back to a timed
 //! sweep poller on other platforms.
 
 #![cfg(target_os = "linux")]
 
-use std::io;
-use std::os::unix::io::RawFd;
+use std::fs::File;
+use std::io::{self, Read, Write};
+use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
 
 pub const EPOLL_CLOEXEC: i32 = 0o2000000;
+
+const EFD_CLOEXEC: i32 = 0o2000000;
+const EFD_NONBLOCK: i32 = 0o4000;
 
 pub const EPOLL_CTL_ADD: i32 = 1;
 pub const EPOLL_CTL_DEL: i32 = 2;
@@ -39,6 +43,45 @@ extern "C" {
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
     fn close(fd: i32) -> i32;
+    fn eventfd(initval: u32, flags: i32) -> i32;
+}
+
+/// A non-blocking `eventfd(2)` counter: one thread `notify`s, the epoll
+/// loop sees it readable and `drain`s it.
+pub struct EventFd {
+    file: File,
+}
+
+impl EventFd {
+    pub fn new() -> io::Result<Self> {
+        // Safety: eventfd has no pointer arguments.
+        let fd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // Safety: `fd` is freshly created and owned by nothing else.
+        Ok(EventFd {
+            file: unsafe { File::from_raw_fd(fd) },
+        })
+    }
+
+    /// Add one to the counter. A full counter (EAGAIN) is already readable,
+    /// so the error is moot.
+    pub fn notify(&self) {
+        let _ = (&self.file).write(&1u64.to_ne_bytes());
+    }
+
+    /// Reset the counter so the fd stops reporting readable.
+    pub fn drain(&self) {
+        let mut buf = [0u8; 8];
+        let _ = (&self.file).read(&mut buf);
+    }
+}
+
+impl AsRawFd for EventFd {
+    fn as_raw_fd(&self) -> RawFd {
+        self.file.as_raw_fd()
+    }
 }
 
 /// Owned epoll instance; closed on drop.
@@ -120,9 +163,7 @@ impl Drop for Epoll {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
     use std::net::{TcpListener, TcpStream};
-    use std::os::unix::io::AsRawFd;
 
     #[test]
     fn epoll_reports_readable_listener() {
@@ -154,5 +195,27 @@ mod tests {
         let mut ready = Vec::new();
         ep.wait(&mut ready, 0).unwrap();
         assert!(ready.is_empty(), "deleted fd must not report");
+    }
+
+    #[test]
+    fn eventfd_is_readable_until_drained() {
+        let ep = Epoll::new().unwrap();
+        let efd = EventFd::new().unwrap();
+        ep.add(efd.as_raw_fd(), EPOLLIN, 3).unwrap();
+        let mut ready = Vec::new();
+        assert_eq!(ep.wait(&mut ready, 0).unwrap(), 0, "fresh counter is zero");
+
+        efd.notify();
+        efd.notify();
+        assert_eq!(ep.wait(&mut ready, 0).unwrap(), 1);
+        assert_eq!(ready[0].0, 3);
+
+        efd.drain();
+        let mut ready = Vec::new();
+        assert_eq!(
+            ep.wait(&mut ready, 0).unwrap(),
+            0,
+            "drained counter is quiet"
+        );
     }
 }

@@ -43,7 +43,7 @@ use crate::config::OverloadPolicy;
 use crate::durable::DeadLetterLog;
 use crate::export::{bind_reusable, register_metrics_listener, MetricsService};
 use crate::metrics::PipelineMetrics;
-use crate::net::{AsLoopFd, EventLoop, Handler, Interest, LoopCtx, Next};
+use crate::net::{AsLoopFd, EventLoop, Handler, Interest, LoopCtx, Next, Waker};
 use crate::observe::MetricsRegistry;
 use crate::supervisor::{DeadLetter, FailureReason};
 use crate::trace::Tracer;
@@ -190,6 +190,19 @@ impl SourceQueue {
     }
 }
 
+/// A bounded ingest queue of `capacity` events (at least one).
+pub(crate) fn bounded_queue(capacity: usize) -> (QueueTx, SourceQueue) {
+    let capacity = capacity.max(1);
+    let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
+    let depth = Arc::new(AtomicUsize::new(0));
+    let queue_tx = QueueTx {
+        tx,
+        depth: depth.clone(),
+        capacity,
+    };
+    (queue_tx, SourceQueue { rx, depth })
+}
+
 /// Producer half, shared by every source handler (and the cluster link,
 /// which feeds router-assigned sources through the same bounded queue).
 #[derive(Clone)]
@@ -309,6 +322,7 @@ impl Shared {
 /// every listener and connection.
 pub struct SourcesServer {
     stop: Arc<AtomicBool>,
+    waker: Waker,
     handle: Option<JoinHandle<()>>,
     shared: Arc<Shared>,
     syslog_tcp_addr: Option<SocketAddr>,
@@ -338,13 +352,7 @@ impl SourcesServer {
         dlq: Option<Arc<DeadLetterLog>>,
         metrics_endpoint: Option<MetricsEndpoint>,
     ) -> io::Result<(SourcesServer, SourceQueue)> {
-        let (tx, rx) = std::sync::mpsc::sync_channel(config.queue_capacity.max(1));
-        let depth = Arc::new(AtomicUsize::new(0));
-        let queue_tx = QueueTx {
-            tx,
-            depth: depth.clone(),
-            capacity: config.queue_capacity.max(1),
-        };
+        let (queue_tx, queue) = bounded_queue(config.queue_capacity);
         // Glob slots start above every static tail and every slot a
         // previous life handed out (recovered through `known`), so a
         // restart never reassigns a slot to a different file.
@@ -439,7 +447,7 @@ impl SourcesServer {
         }
         let mut mailbox = None;
         if let Some(link_cfg) = config.router.clone() {
-            let mb = crate::cluster::ClusterMailbox::new(link_cfg.node.clone());
+            let mb = crate::cluster::ClusterMailbox::new(link_cfg.node.clone(), event_loop.waker());
             event_loop.register_timer(Box::new(crate::cluster::link::LinkSupervisor::new(
                 link_cfg,
                 shared.tx.clone(),
@@ -450,6 +458,7 @@ impl SourcesServer {
 
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = stop.clone();
+        let waker = event_loop.waker();
         let handle = std::thread::Builder::new()
             .name("monilog-sources".into())
             .spawn(move || event_loop.run(stop_flag))
@@ -458,6 +467,7 @@ impl SourcesServer {
         Ok((
             SourcesServer {
                 stop,
+                waker,
                 handle: Some(handle),
                 shared,
                 syslog_tcp_addr,
@@ -466,7 +476,7 @@ impl SourcesServer {
                 metrics_addr,
                 mailbox,
             },
-            SourceQueue { rx, depth },
+            queue,
         ))
     }
 
@@ -519,6 +529,7 @@ impl SourcesServer {
 impl Drop for SourcesServer {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }

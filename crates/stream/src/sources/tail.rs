@@ -499,6 +499,12 @@ impl Handler for FileTailHandler {
         if !self.flush_pending() {
             return Next::Keep; // still backpressured; don't read more
         }
+        // Complete lines a full-queue pause left in `partial`: only a read
+        // that returns bytes emits otherwise, so a file that has stopped
+        // growing would strand them.
+        if !self.emit_lines() {
+            return Next::Keep;
+        }
         self.poll_file();
         Next::Keep
     }
@@ -573,6 +579,26 @@ mod tests {
         let got = drain_for(&queue, 1, 5);
         assert_eq!(got[0].line, "partial-no-newline");
 
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A queue far smaller than the file pauses the tail many times; the
+    /// file never grows after the start, yet every line arrives, in order.
+    #[test]
+    fn full_queue_pauses_do_not_strand_lines_of_a_finished_file() {
+        let path = temp_path("stall");
+        let mut f = std::fs::File::create(&path).unwrap();
+        for i in 0..200 {
+            writeln!(f, "line {i}").unwrap();
+        }
+        f.flush().unwrap();
+
+        let (_server, queue) = spawn_tail(TailSpec::new(&path), 4);
+        let got = drain_for(&queue, 200, 60);
+        assert_eq!(got.len(), 200, "lines stranded after a full-queue pause");
+        for (i, ev) in got.iter().enumerate() {
+            assert_eq!(ev.line, format!("line {i}").as_str());
+        }
         let _ = std::fs::remove_file(&path);
     }
 
