@@ -13,10 +13,9 @@ use crate::pools::PoolId;
 use monilog_model::{AnomalyKind, AnomalyReport, Criticality};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The hidden routing policy of the simulated operations team.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdminPolicy {
     /// Pool per source-group: `pool_of[source % pool_count]`-style routing
     /// is configured explicitly as (source id range → pool).

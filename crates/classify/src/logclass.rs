@@ -16,11 +16,10 @@
 //! equal feedback budgets.
 
 use monilog_model::AnomalyReport;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// LogClass configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogClassConfig {
     /// Dimensionality of the hashed bag-of-words space.
     pub feature_dim: usize,

@@ -8,11 +8,10 @@
 //! Criticality is ordinal (low < moderate < high), handled by an ordinal
 //! perceptron with learned thresholds.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Multi-class averaged perceptron with dynamic class set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AveragedPerceptron<C: std::hash::Hash + Eq + Copy> {
     dim: usize,
     /// Per-class weight vector and its running sum (for averaging).
@@ -124,7 +123,7 @@ impl<C: std::hash::Hash + Eq + Copy> AveragedPerceptron<C> {
 
 /// Ordinal regression perceptron (PRank, Crammer & Singer 2001): one
 /// weight vector plus `k-1` ordered thresholds for `k` ordered levels.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OrdinalPerceptron {
     w: Vec<f64>,
     thresholds: Vec<f64>,

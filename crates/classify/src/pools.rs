@@ -4,12 +4,11 @@
 //! just one default pool, but additional pools can be created or deleted
 //! by administrators."
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a pool. Ids are never reused after deletion, so feedback
 /// referencing a deleted pool is detectable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PoolId(pub u32);
 
 impl fmt::Display for PoolId {
@@ -19,7 +18,7 @@ impl fmt::Display for PoolId {
 }
 
 /// The set of pools administrators have configured.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PoolRegistry {
     pools: Vec<(PoolId, String, bool)>, // (id, name, active)
     next: u32,

@@ -23,8 +23,8 @@ use monilog_model::{Criticality, RawLog, SourceId};
 use monilog_parse::autotune::{autotune_drain, TuneGrid};
 use monilog_parse::{Drain, DrainConfig, OnlineParser};
 use monilog_stream::{
-    BatchConfig, BreakerState, ConfigSnapshot, JournalConfig, MetricsExporter, OpsState,
-    OverloadPolicy, PipelineMetrics, ReloadableConfig, ReportStore, StatusBoard, StatusInputs,
+    BreakerState, ConfigSnapshot, JournalConfig, MetricsExporter, OpsState, OverloadPolicy,
+    PipelineMetrics, ReloadableConfig, ReportStore, StatusBoard, StatusInputs,
     DEFAULT_LATENCY_BUDGET_MS, DEFAULT_REPORT_CAPACITY,
 };
 use std::fmt::Write as _;
@@ -48,7 +48,6 @@ pub enum CliCommand {
         format: HeaderChoice,
         fault: FaultToleranceConfig,
         observability: ObservabilityConfig,
-        batch: BatchConfig,
         /// Write a Chrome trace-event JSON file of the recorded spans here
         /// after the run (`--trace-out`).
         trace_out: Option<String>,
@@ -60,7 +59,6 @@ pub enum CliCommand {
         format: HeaderChoice,
         fault: FaultToleranceConfig,
         observability: ObservabilityConfig,
-        batch: BatchConfig,
         /// Write a Chrome trace-event JSON file of the recorded spans here
         /// after the run (`--trace-out`).
         trace_out: Option<String>,
@@ -164,6 +162,13 @@ pub struct DurableOptions {
     /// Per-stage p99 budget that flips `/status` to degraded, in
     /// milliseconds (`--latency-budget-ms`).
     pub latency_budget_ms: u64,
+    /// Boot value of the reloadable `batch-lines` key (`--batch-lines`):
+    /// max lines the source loop drains from the ingest queue per batch.
+    /// `None` keeps the [`ConfigSnapshot`] default.
+    pub batch_lines: Option<usize>,
+    /// Boot value of the reloadable `batch-deadline-ms` key
+    /// (`--batch-deadline-ms`). `None` keeps the default.
+    pub batch_deadline_ms: Option<u64>,
 }
 
 /// Outbound delivery flags (`--sink-http`, `--sink-tcp`,
@@ -242,8 +247,8 @@ monilog — automated log-based anomaly detection (MoniLog, ICDE 2021)
 USAGE:
     monilog parse     <logfile> [--format dash|syslog|bare]
     monilog calibrate <logfile>
-    monilog train     <logfile> --checkpoint <out> [--format ...] [fault opts]
-    monilog monitor   <logfile> --checkpoint <in>  [--format ...] [fault opts]
+    monilog train     <logfile> --checkpoint <out> [--format ...] [options]
+    monilog monitor   <logfile> --checkpoint <in>  [--format ...] [options]
     monilog router    <logfile>... --state-dir <dir> [router opts]
 
   parse      discover and print the log templates of <logfile>
@@ -254,14 +259,9 @@ USAGE:
   router     partition log sources across a fleet of monitors
              (`monitor --join`), with node-kill recovery and replay
 
-fault-tolerance options (streaming deployments):
-  --on-overload block|shed|dead-letter   submit() behaviour when saturated
-  --max-retries <n>                      parse retries before quarantine
-  --heartbeat-ms <n>                     worker heartbeat / supervisor poll
-  --batch-lines <n>                      lines the router batches per shard
-                                         flush (default 64)
-  --batch-deadline-ms <n>                max idle time before a partial
-                                         batch flushes (default 1)
+overload option (monitor with network sources):
+  --on-overload block|shed|dead-letter   what a source does when the ingest
+                                         queue is full (see network sources)
 
 observability options (train / monitor):
   --metrics-addr <host:port>             serve Prometheus + JSON metrics,
@@ -288,6 +288,11 @@ durability options (monitor):
                                          (default 50; 0 fsyncs every line)
   --journal-segment-bytes <n>            WAL segment rotation threshold
                                          (default 8388608)
+  --batch-lines <n>                      max lines the source loop drains
+                                         from the ingest queue per batch
+                                         (default 512; reloadable)
+  --batch-deadline-ms <n>                how long one ingest batch may wait
+                                         to fill (default 50; reloadable)
 
 ops surface (monitor, requires --state-dir; rides the --metrics-addr
 listener — GET /status, /readyz, /reports, /reports/{id} and GET|POST
@@ -395,8 +400,8 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
     let mut rebalance_grace_ms = 500u64;
     let mut router_flag_given = false;
     let mut batch_lines_given: Option<usize> = None;
+    let mut batch_deadline_given: Option<u64> = None;
     let mut heartbeat_given: Option<u64> = None;
-    let mut batch = BatchConfig::default();
     let mut config_file: Option<String> = None;
     let mut latency_budget_ms = DEFAULT_LATENCY_BUDGET_MS;
     let mut i = 0;
@@ -420,21 +425,15 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
                 let value = args.get(i).ok_or("--on-overload needs a policy")?;
                 fault.on_overload = OverloadPolicy::parse(value)?;
             }
-            "--max-retries" => {
-                i += 1;
-                let value = args.get(i).ok_or("--max-retries needs a count")?;
-                fault.max_retries = value
-                    .parse()
-                    .map_err(|_| format!("invalid --max-retries {value:?}"))?;
-            }
             "--batch-lines" => {
                 i += 1;
                 let value = args.get(i).ok_or("--batch-lines needs a count")?;
                 let n: usize = value
                     .parse()
                     .map_err(|_| format!("invalid --batch-lines {value:?}"))?;
-                batch = BatchConfig::new(n, batch.deadline.as_millis() as u64)
-                    .map_err(|e| format!("invalid --batch-lines {value:?}: {e}"))?;
+                if n == 0 {
+                    return Err("--batch-lines must be at least 1".to_string());
+                }
                 batch_lines_given = Some(n);
             }
             "--batch-deadline-ms" => {
@@ -445,7 +444,7 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
                 let ms: u64 = value
                     .parse()
                     .map_err(|_| format!("invalid --batch-deadline-ms {value:?}"))?;
-                batch.deadline = std::time::Duration::from_millis(ms);
+                batch_deadline_given = Some(ms);
             }
             "--heartbeat-ms" => {
                 i += 1;
@@ -456,8 +455,8 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
                 if ms == 0 {
                     return Err("--heartbeat-ms must be at least 1".to_string());
                 }
-                fault.heartbeat_ms = ms;
                 heartbeat_given = Some(ms);
+                router_flag_given = true;
             }
             "--metrics-addr" => {
                 i += 1;
@@ -763,6 +762,8 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
             sinks: sinks_given.then_some(sinks),
             config_file,
             latency_budget_ms,
+            batch_lines: batch_lines_given,
+            batch_deadline_ms: batch_deadline_given,
         }),
         None if durable_tuning_given => {
             return Err(
@@ -785,10 +786,27 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
     }
     if router_flag_given && command != "router" {
         return Err(
-            "--listen-cluster / --expect-nodes / --dead-after-ms / --rebalance-grace-ms are \
-             only supported by the router command"
+            "--listen-cluster / --expect-nodes / --dead-after-ms / --rebalance-grace-ms / \
+             --heartbeat-ms are only supported by the router command"
                 .to_string(),
         );
+    }
+    // The batch flags seed the source loop's reloadable batch shape
+    // (`--batch-lines` also sizes the router's wire batches); anywhere
+    // else they would be silently ignored.
+    if batch_deadline_given.is_some() && command != "monitor" {
+        return Err("--batch-deadline-ms is only supported by the monitor command".to_string());
+    }
+    if batch_lines_given.is_some() && command != "monitor" && command != "router" {
+        return Err(
+            "--batch-lines is only supported by the monitor and router commands".to_string(),
+        );
+    }
+    if (batch_lines_given.is_some() || batch_deadline_given.is_some())
+        && command == "monitor"
+        && durable.is_none()
+    {
+        return Err("--batch-lines / --batch-deadline-ms require --state-dir".to_string());
     }
     if sources.any() {
         if command != "monitor" {
@@ -823,7 +841,6 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
             format,
             fault,
             observability,
-            batch,
             trace_out,
         }),
         "monitor" => {
@@ -839,7 +856,6 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
                 format,
                 fault,
                 observability,
-                batch,
                 trace_out,
                 durable,
                 sources: sources.any().then_some(sources),
@@ -877,11 +893,7 @@ fn read_lines(path: &str) -> Result<Vec<String>, String> {
         .collect())
 }
 
-fn pipeline_config(
-    format: HeaderChoice,
-    fault: FaultToleranceConfig,
-    batch: BatchConfig,
-) -> MoniLogConfig {
+fn pipeline_config(format: HeaderChoice, fault: FaultToleranceConfig) -> MoniLogConfig {
     MoniLogConfig {
         header_format: format.to_config(),
         window: WindowPolicy::Session {
@@ -895,7 +907,6 @@ fn pipeline_config(
             ..DeepLogConfig::default()
         }),
         fault_tolerance: fault,
-        batch,
         ..MoniLogConfig::default()
     }
 }
@@ -1000,16 +1011,16 @@ pub fn run(command: CliCommand) -> Result<String, String> {
             format,
             fault,
             observability,
-            batch,
             trace_out,
         } => {
             let lines = read_lines(&logfile)?;
-            let mut config = pipeline_config(format, fault, batch);
+            let n_lines = lines.len();
+            let mut config = pipeline_config(format, fault);
             config.observability = observability;
             let mut monilog = MoniLog::new(config);
             let _exporter = spawn_exporter(&monilog, observability, None, &mut out)?;
-            for (i, line) in lines.iter().enumerate() {
-                monilog.ingest_training(&RawLog::new(SourceId(0), i as u64, line.clone()));
+            for (i, line) in lines.into_iter().enumerate() {
+                monilog.ingest_training(&RawLog::new(SourceId(0), i as u64, line));
             }
             monilog.train();
             let blob = monilog.checkpoint()?;
@@ -1018,7 +1029,7 @@ pub fn run(command: CliCommand) -> Result<String, String> {
             let _ = writeln!(
                 out,
                 "trained on {} lines ({} templates); checkpoint: {} ({} bytes)",
-                lines.len(),
+                n_lines,
                 monilog.templates().len(),
                 checkpoint,
                 blob.len()
@@ -1031,14 +1042,13 @@ pub fn run(command: CliCommand) -> Result<String, String> {
             format,
             fault,
             observability,
-            batch,
             trace_out,
             durable,
             sources,
         } => {
             let blob =
                 std::fs::read(&checkpoint).map_err(|e| format!("cannot read {checkpoint}: {e}"))?;
-            let mut config = pipeline_config(format, fault, batch);
+            let mut config = pipeline_config(format, fault);
             config.observability = observability;
             if let Some(src) = sources {
                 let opts = durable.ok_or("network sources require --state-dir")?;
@@ -1054,20 +1064,20 @@ pub fn run(command: CliCommand) -> Result<String, String> {
                 MoniLog::restore(config, &blob).map_err(|e| format!("invalid checkpoint: {e}"))?;
             let _exporter = spawn_exporter(&monilog, observability, None, &mut out)?;
             let lines = read_lines(&logfile)?;
+            let n_lines = lines.len();
             let mut anomalies = Vec::new();
             // Live sequence numbers continue far past any training range.
-            for (i, line) in lines.iter().enumerate() {
+            for (i, line) in lines.into_iter().enumerate() {
                 anomalies.extend(monilog.ingest(&RawLog::new(
                     SourceId(0),
                     1_000_000_000 + i as u64,
-                    line.clone(),
+                    line,
                 )));
             }
             anomalies.extend(monilog.flush());
             let _ = writeln!(
                 out,
-                "monitored {} lines: {} anomalies",
-                lines.len(),
+                "monitored {n_lines} lines: {} anomalies",
                 anomalies.len()
             );
             write_report_lines(&mut out, &anomalies);
@@ -1225,6 +1235,12 @@ fn boot_snapshot(config: &MoniLogConfig, opts: &DurableOptions) -> ConfigSnapsho
         trace_sample_rate: config.observability.trace_sample_rate,
         ..ConfigSnapshot::default()
     };
+    if let Some(n) = opts.batch_lines {
+        snap.batch_lines = n;
+    }
+    if let Some(ms) = opts.batch_deadline_ms {
+        snap.batch_deadline_ms = ms;
+    }
     if let Some(sinks) = &opts.sinks {
         snap.page_at = sinks.page_at;
         snap.route_critical = sinks.route_critical.clone();
@@ -1487,7 +1503,7 @@ fn run_durable_monitor(
     let mut drained = false;
     let mut processed = 0usize;
     ops.publish_status(&durable, 0);
-    for (i, line) in lines.iter().enumerate().skip(skip) {
+    for (i, line) in lines.into_iter().enumerate().skip(skip) {
         if monilog_stream::shutdown_requested() {
             drained = true;
             break;
@@ -1498,7 +1514,7 @@ fn run_durable_monitor(
             ops.poll_reload(&mut durable, None, out);
             ops.publish_status(&durable, 0);
         }
-        anomalies.extend(durable.ingest(&RawLog::new(SourceId(0), i as u64 + 1, line.clone()))?);
+        anomalies.extend(durable.ingest(&RawLog::new(SourceId(0), i as u64 + 1, line))?);
         processed += 1;
     }
     ops.publish_status(&durable, 0);
@@ -2142,7 +2158,6 @@ mod tests {
                 checkpoint: "m.bin".into(),
                 format: HeaderChoice::Syslog,
                 fault: FaultToleranceConfig::default(),
-                batch: BatchConfig::default(),
                 observability: ObservabilityConfig::default(),
                 trace_out: None,
             }
@@ -2281,23 +2296,109 @@ mod tests {
             "m.bin",
             "--on-overload",
             "shed",
-            "--max-retries",
-            "5",
-            "--heartbeat-ms",
-            "50",
         ]))
         .unwrap();
         match parsed {
             CliCommand::Monitor { fault, .. } => {
                 assert_eq!(fault.on_overload, OverloadPolicy::ShedToCatchAll);
-                assert_eq!(fault.max_retries, 5);
-                assert_eq!(fault.heartbeat_ms, 50);
             }
             other => panic!("expected Monitor, got {other:?}"),
         }
         assert!(parse_args(&args(&["parse", "x", "--on-overload", "explode"])).is_err());
-        assert!(parse_args(&args(&["parse", "x", "--max-retries", "many"])).is_err());
         assert!(parse_args(&args(&["parse", "x", "--heartbeat-ms", "0"])).is_err());
+        // `--max-retries` is not a flag; `--heartbeat-ms` tunes only the
+        // router.
+        assert!(parse_args(&args(&[
+            "monitor",
+            "x",
+            "--checkpoint",
+            "m",
+            "--max-retries",
+            "5"
+        ]))
+        .is_err());
+        assert!(parse_args(&args(&[
+            "monitor",
+            "x",
+            "--checkpoint",
+            "m",
+            "--heartbeat-ms",
+            "50"
+        ]))
+        .is_err());
+    }
+
+    #[test]
+    fn batch_flags_seed_the_boot_snapshot() {
+        let durable_of = |argv: &[&str]| match parse_args(&args(argv)).unwrap() {
+            CliCommand::Monitor {
+                durable: Some(opts),
+                ..
+            } => opts,
+            other => panic!("expected a durable Monitor, got {other:?}"),
+        };
+        let config = pipeline_config(HeaderChoice::Dash, FaultToleranceConfig::default());
+        let base = [
+            "monitor",
+            "app.log",
+            "--checkpoint",
+            "m.bin",
+            "--state-dir",
+            "s",
+        ];
+
+        let opts = durable_of(&[&base[..], &["--batch-lines", "16"]].concat());
+        let snap = boot_snapshot(&config, &opts);
+        assert_eq!(snap.batch_lines, 16);
+        assert_eq!(
+            snap.batch_deadline_ms,
+            ConfigSnapshot::default().batch_deadline_ms
+        );
+
+        let opts = durable_of(&[&base[..], &["--batch-deadline-ms", "5"]].concat());
+        let snap = boot_snapshot(&config, &opts);
+        assert_eq!(snap.batch_deadline_ms, 5);
+        assert_eq!(snap.batch_lines, ConfigSnapshot::default().batch_lines);
+
+        // Not given: the reloadable defaults stand.
+        let snap = boot_snapshot(&config, &durable_of(&base));
+        assert_eq!(snap.batch_lines, ConfigSnapshot::default().batch_lines);
+        assert_eq!(
+            snap.batch_deadline_ms,
+            ConfigSnapshot::default().batch_deadline_ms
+        );
+
+        // Rejected where nothing would read them.
+        for flag in ["--batch-lines", "--batch-deadline-ms"] {
+            assert!(
+                parse_args(&args(&["train", "x.log", "--checkpoint", "m", flag, "8"])).is_err(),
+                "{flag} on train"
+            );
+            assert!(
+                parse_args(&args(&["monitor", "x.log", "--checkpoint", "m", flag, "8"])).is_err(),
+                "{flag} on an in-memory monitor"
+            );
+        }
+        assert!(parse_args(&args(&[
+            "router",
+            "a.log",
+            "--state-dir",
+            "d",
+            "--batch-deadline-ms",
+            "8"
+        ]))
+        .is_err());
+        assert!(parse_args(&args(&[
+            "monitor",
+            "x.log",
+            "--checkpoint",
+            "m",
+            "--state-dir",
+            "d",
+            "--batch-lines",
+            "0"
+        ]))
+        .is_err());
     }
 
     #[test]
@@ -2489,7 +2590,6 @@ mod tests {
             checkpoint: ckpt.to_string_lossy().into_owned(),
             format: HeaderChoice::Dash,
             fault: FaultToleranceConfig::default(),
-            batch: BatchConfig::default(),
             observability: ObservabilityConfig::default(),
             trace_out: None,
         })
@@ -2502,7 +2602,6 @@ mod tests {
             checkpoint: ckpt.to_string_lossy().into_owned(),
             format: HeaderChoice::Dash,
             fault: FaultToleranceConfig::default(),
-            batch: BatchConfig::default(),
             observability: ObservabilityConfig {
                 trace_sample_rate: 1,
                 ..ObservabilityConfig::default()
@@ -2554,7 +2653,6 @@ mod tests {
                 checkpoint: ckpt_path,
                 format: HeaderChoice::Dash,
                 fault: FaultToleranceConfig::default(),
-                batch: BatchConfig::default(),
                 observability: ObservabilityConfig {
                     metrics_addr: Some(addr),
                     metrics_interval_ms: 10,
@@ -2590,20 +2688,6 @@ mod tests {
                 "{body}"
             );
         }
-    }
-
-    #[test]
-    fn fault_flags_reach_the_supervisor_config() {
-        let fault = FaultToleranceConfig {
-            on_overload: OverloadPolicy::DeadLetter,
-            max_retries: 7,
-            heartbeat_ms: 40,
-        };
-        let sup =
-            pipeline_config(HeaderChoice::Dash, fault, BatchConfig::default()).supervisor_config();
-        assert_eq!(sup.overload, OverloadPolicy::DeadLetter);
-        assert_eq!(sup.retry.max_retries, 7);
-        assert_eq!(sup.heartbeat_interval, std::time::Duration::from_millis(40));
     }
 
     #[test]
@@ -2663,7 +2747,6 @@ mod tests {
             checkpoint: ckpt.to_string_lossy().into_owned(),
             format: HeaderChoice::Dash,
             fault: FaultToleranceConfig::default(),
-            batch: BatchConfig::default(),
             observability: ObservabilityConfig::default(),
             trace_out: None,
         })
@@ -2677,7 +2760,6 @@ mod tests {
             checkpoint: ckpt.to_string_lossy().into_owned(),
             format: HeaderChoice::Dash,
             fault: FaultToleranceConfig::default(),
-            batch: BatchConfig::default(),
             observability: ObservabilityConfig::default(),
             trace_out: None,
             durable: None,
@@ -2725,7 +2807,6 @@ mod tests {
             checkpoint: "/definitely/not/here.mlcp".into(),
             format: HeaderChoice::Dash,
             fault: FaultToleranceConfig::default(),
-            batch: BatchConfig::default(),
             observability: ObservabilityConfig::default(),
             trace_out: None,
             durable: None,
@@ -2763,6 +2844,8 @@ mod tests {
                         sinks: None,
                         config_file: None,
                         latency_budget_ms: DEFAULT_LATENCY_BUDGET_MS,
+                        batch_lines: None,
+                        batch_deadline_ms: None,
                     })
                 );
             }
@@ -3054,7 +3137,6 @@ mod tests {
             checkpoint: ckpt.to_string_lossy().into_owned(),
             format: HeaderChoice::Dash,
             fault: FaultToleranceConfig::default(),
-            batch: BatchConfig::default(),
             observability: ObservabilityConfig::default(),
             trace_out: None,
         })
@@ -3066,7 +3148,6 @@ mod tests {
             checkpoint: ckpt.to_string_lossy().into_owned(),
             format: HeaderChoice::Dash,
             fault: FaultToleranceConfig::default(),
-            batch: BatchConfig::default(),
             observability: ObservabilityConfig::default(),
             trace_out: None,
             durable: Some(DurableOptions {
@@ -3077,6 +3158,8 @@ mod tests {
                 sinks: None,
                 config_file: None,
                 latency_budget_ms: DEFAULT_LATENCY_BUDGET_MS,
+                batch_lines: None,
+                batch_deadline_ms: None,
             }),
         };
 

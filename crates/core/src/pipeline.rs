@@ -20,13 +20,12 @@ use monilog_stream::{
     BoundedReorderBuffer, DedupFilter, PipelineMetrics, SpanStage, TraceConfig, Tracer,
     DEFAULT_FLIGHT_CAPACITY, DEFAULT_SAMPLE_RATE,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Which detection model the pipeline runs (one per deployment; the
 /// experiment harnesses compare them side by side).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DetectorChoice {
     DeepLog(DeepLogConfig),
     LogAnomaly(LogAnomalyConfig),
@@ -38,7 +37,7 @@ pub enum DetectorChoice {
 }
 
 /// Pipeline configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MoniLogConfig {
     /// Header layout of incoming lines (per-deployment; heterogeneous
     /// sources can be normalized upstream).
@@ -53,22 +52,17 @@ pub struct MoniLogConfig {
     pub dedup_window: usize,
     pub window: WindowPolicy,
     pub detector: DetectorChoice,
-    /// Knobs for the supervised streaming deployment shape
-    /// ([`monilog_stream::SupervisedParseService`]); the sequential facade
-    /// ignores them.
+    /// Overload handling at the network-source boundary (`--on-overload`);
+    /// the in-process facade ignores it.
     pub fault_tolerance: FaultToleranceConfig,
     /// Metrics export (`--metrics-addr`, `--metrics-interval-ms`).
     pub observability: ObservabilityConfig,
-    /// Router batch tuning for the sharded streaming deployment shape
-    /// (`--batch-lines`, `--batch-deadline-ms`); the sequential facade
-    /// ignores it.
-    pub batch: monilog_stream::BatchConfig,
 }
 
 /// Where and how often to export metrics snapshots. `metrics_addr: None`
 /// (the default) disables the endpoint; the in-process registry records
 /// either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObservabilityConfig {
     /// Bind address of the HTTP metrics endpoint (`/metrics` Prometheus,
     /// `/metrics.json` JSON, `/trace/{id}`, `/flight`); `None` disables
@@ -94,33 +88,16 @@ impl Default for ObservabilityConfig {
     }
 }
 
-/// Fault-tolerance knobs surfaced through the CLI (`--on-overload`,
-/// `--max-retries`, `--heartbeat-ms`); everything else in
-/// [`monilog_stream::SupervisorConfig`] keeps its default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Fault-tolerance knobs surfaced through the CLI (`--on-overload`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultToleranceConfig {
-    /// What `submit()` does when the pipeline is saturated.
+    /// What a network source does when the ingest queue is full.
     pub on_overload: monilog_stream::OverloadPolicy,
-    /// Parse retries before a panicking line is quarantined.
-    pub max_retries: u32,
-    /// Worker heartbeat / supervisor poll interval, in milliseconds.
-    pub heartbeat_ms: u64,
-}
-
-impl Default for FaultToleranceConfig {
-    fn default() -> Self {
-        let defaults = monilog_stream::SupervisorConfig::default();
-        FaultToleranceConfig {
-            on_overload: defaults.overload,
-            max_retries: defaults.retry.max_retries,
-            heartbeat_ms: defaults.heartbeat_interval.as_millis() as u64,
-        }
-    }
 }
 
 /// `HeaderFormat` is not `Copy`; this mirror is, keeping the config plain
 /// data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HeaderFormatChoice {
     DashSeparated,
     SyslogLike,
@@ -152,27 +129,6 @@ impl Default for MoniLogConfig {
             detector: DetectorChoice::DeepLog(DeepLogConfig::default()),
             fault_tolerance: FaultToleranceConfig::default(),
             observability: ObservabilityConfig::default(),
-            batch: monilog_stream::BatchConfig::default(),
-        }
-    }
-}
-
-impl MoniLogConfig {
-    /// The supervisor configuration this pipeline config implies: the
-    /// entry point for deploying the parsing stage as a
-    /// [`monilog_stream::SupervisedParseService`] instead of the inline
-    /// sequential parser.
-    pub fn supervisor_config(&self) -> monilog_stream::SupervisorConfig {
-        let ft = self.fault_tolerance;
-        monilog_stream::SupervisorConfig {
-            drain: self.drain,
-            overload: ft.on_overload,
-            retry: monilog_stream::RetryPolicy {
-                max_retries: ft.max_retries,
-                ..monilog_stream::RetryPolicy::default()
-            },
-            heartbeat_interval: std::time::Duration::from_millis(ft.heartbeat_ms.max(1)),
-            ..monilog_stream::SupervisorConfig::default()
         }
     }
 }

@@ -11,11 +11,10 @@
 
 use monilog_detect::Window;
 use monilog_model::{CodecError, Decoder, Encoder, LogEvent, SourceId, Timestamp};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// How the pipeline cuts the event stream into detection windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowPolicy {
     /// Session windows keyed by [`LogEvent::session`]; events without a
     /// session fall back to per-source tumbling.

@@ -1,7 +1,6 @@
 //! Detector traits and shared input types.
 
 use monilog_model::{ScoreComponent, TemplateStore};
-use serde::{Deserialize, Serialize};
 
 /// One detection window: the unit every detector scores.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// continuous multi-source streams it is a sliding window. Either way it
 /// carries the parsed template-id sequence and, for quantitative models,
 /// the numeric variable values of each event.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Window {
     /// Template ids in stream order.
     pub sequence: Vec<u32>,

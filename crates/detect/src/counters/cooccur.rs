@@ -19,11 +19,10 @@
 //! calibrated from training windows.
 
 use crate::api::{Detector, TrainSet, Window};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Co-occurrence detector parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoOccurrenceDetectorConfig {
     /// Pairs must involve templates each rarer than this window-frequency
     /// to be scored (ubiquitous templates co-occur with everything and

@@ -12,10 +12,9 @@
 use crate::api::{Detector, TrainSet, Window};
 use crate::window::count_vector;
 use monilog_model::codec::{CodecError, Decoder, Encoder};
-use serde::{Deserialize, Serialize};
 
 /// Invariant-mining parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InvariantDetectorConfig {
     /// Fraction of training windows an invariant must satisfy.
     pub min_support: f64,
@@ -38,7 +37,7 @@ impl Default for InvariantDetectorConfig {
 }
 
 /// A mined invariant: `Σ coef_k · count(id_k) = 0`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Invariant {
     pub terms: Vec<(u32, i64)>,
 }

@@ -9,10 +9,9 @@
 
 use crate::api::{Detector, TrainSet, Window};
 use crate::window::normalized_count_vector;
-use serde::{Deserialize, Serialize};
 
 /// LogClustering parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogClusterDetectorConfig {
     /// Cosine-distance threshold below which two clusters merge.
     pub merge_distance: f64,

@@ -12,10 +12,9 @@ use crate::api::{Detector, TrainSet, Window};
 use crate::linalg::{dot, sym_eigen};
 use crate::window::count_vector;
 use monilog_model::codec::{CodecError, Decoder, Encoder};
-use serde::{Deserialize, Serialize};
 
 /// PCA detector parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcaDetectorConfig {
     /// Fraction of variance the principal subspace must capture.
     pub variance_kept: f64,

@@ -25,12 +25,11 @@ use monilog_model::codec::{CodecError, Decoder, Encoder};
 use monilog_nn::{Adam, Dense, Embedding, Graph, Lstm, Matrix, Optimizer, ParamSet, Var};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// Which parameter-value model to use for quantitative anomalies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValueModelKind {
     /// Per-key mean/std range check (fast; catches magnitude anomalies).
     Gaussian,
@@ -42,7 +41,7 @@ pub enum ValueModelKind {
 }
 
 /// DeepLog hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeepLogConfig {
     /// History window length `h`.
     pub history: usize,

@@ -25,11 +25,10 @@ use monilog_model::{Template, TemplateStore};
 use monilog_nn::{Adam, Dense, Graph, Lstm, Matrix, Optimizer, ParamSet, Var};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// LogAnomaly hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogAnomalyConfig {
     pub history: usize,
     pub top_g: usize,

@@ -22,11 +22,10 @@ use monilog_model::{Template, TemplateStore};
 use monilog_nn::{Adam, Attention, BiLstm, Dense, Graph, Matrix, Optimizer, ParamSet, Var};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// LogRobust hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogRobustConfig {
     /// Dimension of the semantic template vectors.
     pub semantic_dim: usize,

@@ -20,12 +20,11 @@ use crate::varspec::{VarKind, VarSpec};
 use monilog_model::{AnomalyKind, LogHeader, LogRecord, Severity, SourceId, Timestamp};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Archetypes a source can instantiate. Variants of the same archetype get
 /// distinct component names and truth-id ranges, so 24 sources stay 24
 /// distinguishable vocabularies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SourceArchetype {
     ApiGateway,
     Auth,
@@ -723,7 +722,7 @@ pub fn make_source_flow(
 }
 
 /// Configuration of the multi-source workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CloudWorkloadConfig {
     /// Number of log sources; the paper's reference system has 24.
     pub n_sources: usize,

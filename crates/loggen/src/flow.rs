@@ -18,14 +18,13 @@ use crate::truth::{GenLog, LineTruth, TokenKind, TruthTemplateId};
 use crate::varspec::VarSpec;
 use monilog_model::{AnomalyKind, LogHeader, LogRecord, Severity, SourceId, Timestamp};
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 /// Index of a state within its [`FlowSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StateId(pub usize);
 
 /// One token of a statement pattern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Piece {
     /// A literal token.
     Static(String),
@@ -39,7 +38,7 @@ enum Piece {
 }
 
 /// A log statement: the generator-side analogue of a template.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Statement {
     pub truth: TruthTemplateId,
     pub level: Severity,
@@ -55,7 +54,7 @@ pub struct Statement {
 }
 
 /// How a statement's payload fields are rendered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PayloadStyle {
     /// `{user_id=125, service_name=dart_vader}` — the paper's own example.
     #[default]
@@ -273,7 +272,7 @@ impl Statement {
 }
 
 /// Weighted transition to another state (`None` target = flow ends).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Transition {
     pub to: Option<StateId>,
     pub weight: f64,
@@ -293,7 +292,7 @@ impl Transition {
 }
 
 /// One state of a flow: the statement it logs and where it can go next.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowState {
     pub statement: Statement,
     /// Weighted next states; empty means the flow always ends here.
@@ -301,7 +300,7 @@ pub struct FlowState {
 }
 
 /// Kinds of walk perturbation used to create sequential anomalies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SequentialAnomaly {
     /// Omit one mid-walk line (a step that should have been logged wasn't).
     SkipState,
@@ -321,7 +320,7 @@ impl SequentialAnomaly {
 }
 
 /// A program's logging behaviour: states, transitions, identity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowSpec {
     pub name: String,
     /// Component name written into headers (Fig. 2's `serviceManager`).
@@ -423,7 +422,7 @@ impl FlowSpec {
 }
 
 /// Configuration of one generation run over a set of flows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WalkConfig {
     /// Fraction of sessions perturbed into sequential anomalies.
     pub sequential_anomaly_rate: f64,

@@ -14,7 +14,6 @@ use crate::varspec::{VarKind, VarSpec};
 use monilog_model::{Severity, SourceId, Timestamp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The block-lifecycle flow: a synthetic stand-in for the HDFS DataNode /
@@ -149,7 +148,7 @@ pub fn hdfs_flow() -> FlowSpec {
 }
 
 /// Configuration for an HDFS-like generation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HdfsWorkloadConfig {
     pub n_sessions: usize,
     /// Fraction of sessions with a sequential anomaly.

@@ -13,11 +13,10 @@
 use crate::truth::{GenLog, TokenKind};
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The alteration kinds of the LogRobust instability study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstabilityKind {
     /// A collection/parsing glitch truncates or mangles the line.
     BadParse,
@@ -41,7 +40,7 @@ impl InstabilityKind {
 }
 
 /// Configuration of an instability pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstabilityConfig {
     /// Target fraction of lines made unstable (LogRobust sweeps 0–20%).
     pub ratio: f64,

@@ -13,10 +13,9 @@
 use crate::truth::GenLog;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Transport-noise parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NoiseConfig {
     /// Each line's arrival is delayed by a uniform random amount up to this
     /// bound (milliseconds); 0 disables reordering.

@@ -1,19 +1,16 @@
 //! Ground-truth labels attached to every generated log line.
 
 use monilog_model::{AnomalyKind, LogRecord};
-use serde::{Deserialize, Serialize};
 
 /// Generator-side template identifier. Distinct from the parser-side
 /// `monilog_model::TemplateId`: parsers must *discover* templates, and the
 /// evaluation compares their discovery against these true ids.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TruthTemplateId(pub u32);
 
 /// Whether a message token is part of the static template text or a
 /// variable value — the ground truth for the paper's Eq. 1 token metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
     Static,
     Variable,
@@ -21,7 +18,7 @@ pub enum TokenKind {
 
 /// Everything we know about a generated line that a real dataset would not
 /// tell us.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LineTruth {
     /// True template of the line.
     pub template: TruthTemplateId,
@@ -64,7 +61,7 @@ impl LineTruth {
 }
 
 /// A generated log line: the record itself plus its ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenLog {
     pub record: LogRecord,
     pub truth: LineTruth,

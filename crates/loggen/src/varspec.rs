@@ -7,10 +7,9 @@
 //! [`VarSpec::sample`].
 
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 /// The value domain of one variable position.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum VarKind {
     /// Uniform integer in `[lo, hi]`. Anomalous values are drawn far above
     /// `hi` (×100 to ×10000), like L3's 745675869-byte send.
@@ -39,7 +38,7 @@ pub enum VarKind {
 }
 
 /// A named variable slot of a template.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VarSpec {
     /// Field name, used when the variable is rendered into a JSON payload.
     pub name: String,

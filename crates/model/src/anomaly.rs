@@ -10,11 +10,10 @@ use crate::event::LogEvent;
 use crate::log::SourceId;
 use crate::time::Timestamp;
 use crate::trace::{json_string, Provenance};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The two anomaly categories of Section III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AnomalyKind {
     /// The log sequence deviates from the normal flow
     /// (Table I example: `L1 → L4`).
@@ -37,7 +36,7 @@ impl fmt::Display for AnomalyKind {
 ///
 /// "A common practice to prioritize the tasks is to assign anomalies a level
 /// of criticality such as low, moderate or high" (Section V).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Criticality {
     Low,
     Moderate,
@@ -82,7 +81,7 @@ impl fmt::Display for Criticality {
 /// Section V frames classification as prioritising the administrator's
 /// attention; delivery classes are the actionable end of that scale:
 /// page someone, open a ticket, or just keep a record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeliveryClass {
     /// Interrupt-a-human severity — routed to the webhook/pager sink.
     Page,
@@ -133,7 +132,7 @@ impl fmt::Display for DeliveryClass {
 }
 
 /// A detected anomaly with all the evidence the detector saw.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnomalyReport {
     /// Dense report id, assigned by the detection stage.
     pub id: u64,

@@ -3,10 +3,10 @@
 //! MoniLog components are trained online (templates discovered, models
 //! fitted) and must survive process restarts: a parser that forgets its
 //! templates renumbers every log key and invalidates the detector. The
-//! workspace's dependency policy has no serde *format* crate, so this
-//! module provides a deliberately small, explicit binary encoding —
-//! little-endian fixed-width scalars, length-prefixed strings and
-//! sequences, a magic/version header per top-level object — used by
+//! workspace has no serialization dependency, so this module provides a
+//! deliberately small, explicit binary encoding — little-endian
+//! fixed-width scalars, length-prefixed strings and sequences, a
+//! magic/version header per top-level object — used by
 //! [`crate::TemplateStore`] persistence and the detector checkpoints in
 //! `monilog-detect`.
 

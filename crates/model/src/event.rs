@@ -11,19 +11,16 @@ use crate::severity::Severity;
 use crate::template::TemplateId;
 use crate::time::Timestamp;
 use crate::trace::TraceId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Globally unique event identifier (dense, assigned at parse time).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct EventId(pub u64);
 
 /// Key used to group events into sessions (e.g. an HDFS block id or a
 /// request id). Detection models that use *session windows* group by this;
 /// models that use *sliding windows* ignore it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SessionKey(pub String);
 
 impl fmt::Display for SessionKey {
@@ -34,7 +31,7 @@ impl fmt::Display for SessionKey {
 
 /// A fully structured log event — the unit flowing from the parsing
 /// component to the detection component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogEvent {
     pub id: EventId,
     pub timestamp: Timestamp,

@@ -12,11 +12,10 @@
 use crate::log::{LogHeader, LogRecord, RawLog};
 use crate::severity::Severity;
 use crate::time::Timestamp;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Layout of a source's log-line header.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HeaderFormat {
     /// `<timestamp> - <component> - <LEVEL> - <message>` — the layout of the
     /// paper's Fig. 2 example and of the synthetic generators.

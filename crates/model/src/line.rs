@@ -19,7 +19,6 @@
 //!   performed the same lossy conversion at read time.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -29,7 +28,7 @@ use std::ops::Deref;
 ///
 /// Invariant: the underlying bytes are valid UTF-8. All constructors
 /// enforce this, so `as_str` is free.
-#[derive(Clone, Default, Serialize, Deserialize)]
+#[derive(Clone, Default)]
 pub struct ByteLine {
     bytes: Bytes,
 }

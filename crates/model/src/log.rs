@@ -9,15 +9,12 @@ use crate::codec::{CodecError, Decoder, Encoder};
 use crate::line::ByteLine;
 use crate::severity::Severity;
 use crate::time::Timestamp;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a log source (one of the paper's "24 different log sources"
 /// feeding a single system). Dense small integers so per-source state can
 /// live in a `Vec`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SourceId(pub u16);
 
 impl SourceId {
@@ -33,7 +30,7 @@ impl fmt::Display for SourceId {
 }
 
 /// An unparsed log line as it arrives from a source.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawLog {
     /// Which source emitted the line.
     pub source: SourceId,
@@ -56,7 +53,7 @@ impl RawLog {
 }
 
 /// The structured header of a log line (Fig. 2: TIMESTAMP / SOURCE / LEVEL).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogHeader {
     pub timestamp: Timestamp,
     /// The component name written in the header (e.g. `serviceManager`).
@@ -77,7 +74,7 @@ impl LogHeader {
 }
 
 /// A log line after header parsing: structured header + free-text message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogRecord {
     pub source: SourceId,
     pub seq: u64,

@@ -5,12 +5,11 @@
 //! [`Severity::Unknown`] rather than failing, because MoniLog must ingest
 //! logs from 24+ heterogeneous sources without per-source configuration.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// Criticality level of a log record's header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     Trace,
     Debug,

@@ -20,11 +20,10 @@
 //! a payload is left in the message untouched, because a false extraction
 //! would *destroy* information the parser needs.
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// A structured payload pulled out of a log message.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StructuredPayload {
     /// Flattened key → raw value text. Nested JSON keys are joined with `.`.
     pub fields: Vec<(String, String)>,

@@ -10,14 +10,11 @@
 //! consumed by every detector.
 
 use crate::codec::{CodecError, Decoder, Encoder};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Dense identifier of a discovered template ("log key" in DeepLog's terms).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TemplateId(pub u32);
 
 impl TemplateId {
@@ -33,7 +30,7 @@ impl fmt::Display for TemplateId {
 }
 
 /// One token of a template.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TemplateToken {
     /// A literal token that is part of the static text.
     Static(String),
@@ -56,7 +53,7 @@ impl TemplateToken {
 }
 
 /// A discovered message template: the static skeleton of a log statement.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Template {
     pub id: TemplateId,
     pub tokens: Vec<TemplateToken>,

@@ -5,7 +5,6 @@
 //! support the textual format the paper uses in Fig. 2:
 //! `2020-03-19 15:38:55,977`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Milliseconds since the Unix epoch.
@@ -13,9 +12,7 @@ use std::fmt;
 /// Wrapped in a newtype so that stream components (mergers, window
 /// assignment) cannot accidentally mix timestamps with other `u64` counters
 /// such as sequence numbers.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub u64);
 
 impl Timestamp {

@@ -15,14 +15,13 @@
 //! per-line flag has to be threaded through queues or shard boundaries.
 
 use crate::time::Timestamp;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identity of one sampled log line as it flows through the pipeline.
 ///
 /// Always non-zero: the id of the line with sequence number `seq` is
 /// `seq + 1`, so `0` is free to mean "no trace" in packed representations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TraceId(pub u64);
 
 impl TraceId {
@@ -50,7 +49,7 @@ impl fmt::Display for TraceId {
 
 /// One named term of a detector's anomaly score (e.g. DeepLog's count of
 /// sequential violations vs its calibrated threshold).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScoreComponent {
     pub name: String,
     pub value: f64,
@@ -68,7 +67,7 @@ impl ScoreComponent {
 /// Evidence trail attached to an `AnomalyReport`: which sampled lines,
 /// which templates, which window, and how the detector arrived at the
 /// score. Empty (`Provenance::default()`) when tracing is disabled.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Provenance {
     /// Trace ids of the sampled lines that contributed events to the
     /// window (resolvable via `GET /trace/{id}` while they remain in the
@@ -93,8 +92,9 @@ impl Provenance {
             && self.score_components.is_empty()
     }
 
-    /// Hand-rolled JSON rendering (the vendored serde shim is a no-op, so
-    /// every wire format in this codebase is written out explicitly).
+    /// Hand-rolled JSON rendering (the workspace has no serialization
+    /// dependency, so every wire format in this codebase is written out
+    /// explicitly).
     pub fn to_json(&self) -> String {
         let trace_ids: Vec<String> = self.trace_ids.iter().map(|t| t.0.to_string()).collect();
         let template_ids: Vec<String> = self.template_ids.iter().map(|t| t.to_string()).collect();

@@ -1,11 +1,10 @@
 //! Dense row-major matrices.
 
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense `rows × cols` matrix of `f64`, row-major.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     pub rows: usize,
     pub cols: usize,

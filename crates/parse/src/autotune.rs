@@ -17,10 +17,9 @@ use crate::api::OnlineParser;
 use crate::eval::unsupervised::{unsupervised_quality, UnsupervisedReport};
 use crate::parsers::drain::{Drain, DrainConfig};
 use crate::preprocess::MaskConfig;
-use serde::{Deserialize, Serialize};
 
 /// The search space of the calibration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TuneGrid {
     pub depths: Vec<usize>,
     pub sim_thresholds: Vec<f64>,

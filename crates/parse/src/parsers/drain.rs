@@ -15,11 +15,10 @@
 use crate::api::{OnlineParser, ParseOutcome, ParserKind};
 use crate::preprocess::{MaskConfig, Preprocessor};
 use monilog_model::{CodecError, Decoder, Encoder, TemplateId, TemplateStore, TemplateToken};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Drain hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DrainConfig {
     /// Total tree depth. The classic setting is 4: root → length →
     /// (depth-2) token levels → leaf.

@@ -17,11 +17,10 @@
 use crate::api::{BatchParser, ParseOutcome, ParserKind};
 use crate::preprocess::{MaskConfig, Preprocessor};
 use monilog_model::{TemplateStore, TemplateToken};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// IPLoM hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IpLoMConfig {
     /// Partitions smaller than this fraction of their parent are merged
     /// into an outlier partition instead of splitting further.

@@ -10,11 +10,10 @@
 use crate::api::{OnlineParser, ParseOutcome, ParserKind};
 use crate::preprocess::{MaskConfig, Preprocessor};
 use monilog_model::{TemplateId, TemplateStore, TemplateToken};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// LenMa hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LenMaConfig {
     /// Cosine-similarity threshold on word-length vectors (paper default
     /// 0.78).

@@ -18,10 +18,9 @@
 use crate::api::{OnlineParser, ParseOutcome, ParserKind};
 use crate::preprocess::{MaskConfig, Preprocessor};
 use monilog_model::{TemplateId, TemplateStore, TemplateToken};
-use serde::{Deserialize, Serialize};
 
 /// Logan hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoganConfig {
     /// Number of parsing agents.
     pub n_agents: usize,

@@ -16,11 +16,10 @@
 use crate::api::{OnlineParser, ParseOutcome, ParserKind};
 use crate::preprocess::{MaskConfig, Preprocessor};
 use monilog_model::{TemplateStore, TemplateToken};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Logram hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogramConfig {
     /// A 3-gram with at least this count marks its middle token static.
     pub three_gram_threshold: u64,

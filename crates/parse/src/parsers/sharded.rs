@@ -24,11 +24,10 @@ use crate::api::{OnlineParser, ParseOutcome, ParserKind};
 use crate::parsers::drain::{Drain, DrainConfig};
 use crate::route::{BalancedRouter, SplitEvent};
 use monilog_model::{TemplateId, TemplateStore, TemplateToken};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Sharded-Drain configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardedDrainConfig {
     pub n_shards: usize,
     /// Per-shard Drain configuration.

@@ -10,10 +10,9 @@
 use crate::api::{OnlineParser, ParseOutcome, ParserKind};
 use crate::preprocess::{MaskConfig, Preprocessor};
 use monilog_model::{TemplateId, TemplateStore, TemplateToken};
-use serde::{Deserialize, Serialize};
 
 /// SHISO hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShisoConfig {
     /// Maximum children per tree node (the paper's `t`).
     pub max_children: usize,

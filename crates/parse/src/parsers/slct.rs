@@ -9,11 +9,10 @@
 use crate::api::{BatchParser, ParseOutcome, ParserKind};
 use crate::preprocess::{MaskConfig, Preprocessor};
 use monilog_model::{TemplateStore, TemplateToken};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// SLCT hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlctConfig {
     /// Absolute support threshold: a `(position, word)` pair is frequent if
     /// it occurs in at least this many lines.

@@ -10,10 +10,9 @@
 use crate::api::{OnlineParser, ParseOutcome, ParserKind};
 use crate::preprocess::{MaskConfig, Preprocessor};
 use monilog_model::{TemplateId, TemplateStore, TemplateToken};
-use serde::{Deserialize, Serialize};
 
 /// Spell hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpellConfig {
     /// Minimum fraction of message tokens the LCS must cover to join an
     /// existing object (the paper's `tau`, default 0.5).

@@ -14,10 +14,9 @@
 pub use monilog_model::tokenize::TokenSpan;
 
 use monilog_model::tokenize::token_spans_into;
-use serde::{Deserialize, Serialize};
 
 /// Which token classes to mask to `<*>` before template matching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MaskConfig {
     /// Pure integers / decimals (`42`, `3.14`, `-7`).
     pub numbers: bool,

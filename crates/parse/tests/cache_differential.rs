@@ -50,7 +50,7 @@ fn run_differential(lines: &[String], cut: usize) -> (u64, u64) {
     for (i, line) in lines.iter().enumerate() {
         if cut > 0 && i == cut {
             // Crash/respawn: both parsers restart from their persisted
-            // stores, exactly as the supervisor restores a dead shard.
+            // stores, exactly as a restarted monitor warm-starts its Drain.
             cached = Drain::warm_start(cached_config(), cached.store().clone());
             uncached = Drain::warm_start(uncached_config(), uncached.store().clone());
         }

@@ -1,47 +1,20 @@
-//! Shared configuration types for the streaming layer: typed construction
-//! errors and the overload policy vocabulary used by
-//! [`crate::supervisor::SupervisedParseService`] and surfaced through the
-//! `monilog` CLI.
+//! Shared configuration types for the streaming layer: the overload
+//! policy vocabulary applied at the source boundary and surfaced through
+//! the `monilog` CLI, and the retry schedule of the delivery layer.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
-/// A structurally invalid streaming configuration.
-///
-/// Construction-time validation errors: services return these instead of
-/// panicking so deployments can reject bad configs at the edge (CLI flag
-/// parsing, config files) with a message instead of a crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConfigError {
-    /// A sharded component needs at least one shard.
-    ZeroShards,
-    /// Bounded queues need capacity for at least one item.
-    ZeroCapacity,
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::ZeroShards => f.write_str("need at least one shard"),
-            ConfigError::ZeroCapacity => f.write_str("queues need capacity for at least one item"),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-/// What `submit()` does when the pipeline is saturated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+/// What a network source does when the ingest queue is full (see
+/// [`crate::sources`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverloadPolicy {
-    /// Block until space frees up — end-to-end backpressure, the historical
-    /// behaviour. With a submit deadline configured, blocks at most that
-    /// long and then reports the deadline.
+    /// Stop reading until space frees up — end-to-end backpressure, the
+    /// historical behaviour. Sources that cannot pause (UDP) drop and
+    /// count instead.
     #[default]
     Block,
-    /// Drop the line and account it to the reserved catch-all template
-    /// ([`crate::supervisor::CATCH_ALL_TEMPLATE_ID`]): downstream detectors
-    /// still see *that* load arrived, just not what it said.
+    /// Drop the line and count it (`sources_lines_shed`).
     ShedToCatchAll,
     /// Divert the line to the dead-letter queue with an overload marker so
     /// it can be replayed once the pipeline catches up.
@@ -77,72 +50,16 @@ impl fmt::Display for OverloadPolicy {
     }
 }
 
-/// Router batch-flush tuning for [`crate::service::ShardedParseService`]
-/// (surfaced on the CLI as `--batch-lines` / `--batch-deadline-ms`).
-///
-/// The router accumulates routed lines per shard and flushes a shard's
-/// buffer when it reaches `max_lines` or has sat idle past `deadline`.
-/// Bigger batches amortize transfer cost (throughput); a shorter deadline
-/// caps the latency a partial batch can add.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BatchConfig {
-    /// Lines the router accumulates per shard before flushing (clamped to
-    /// queue capacity by the service so batching never weakens
-    /// backpressure). Must be non-zero.
-    pub max_lines: usize,
-    /// How long a partial shard buffer may sit while the input is idle.
-    pub deadline: Duration,
-    /// Pin shard workers thread-per-core (best effort; see
-    /// [`crate::affinity`]).
-    pub pin_workers: bool,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        // Mirrors `service::{MAX_BATCH, BATCH_FLUSH_INTERVAL}`, the
-        // historical hard-coded values.
-        BatchConfig {
-            max_lines: 64,
-            deadline: Duration::from_millis(1),
-            pin_workers: true,
-        }
-    }
-}
-
-impl BatchConfig {
-    /// CLI constructor: `--batch-lines` / `--batch-deadline-ms` values.
-    pub fn new(max_lines: usize, deadline_ms: u64) -> Result<Self, ConfigError> {
-        if max_lines == 0 {
-            return Err(ConfigError::ZeroCapacity);
-        }
-        Ok(BatchConfig {
-            max_lines,
-            deadline: Duration::from_millis(deadline_ms),
-            ..BatchConfig::default()
-        })
-    }
-}
-
-/// Retry schedule for a line whose parse attempt panicked: exponential
-/// backoff with deterministic per-line jitter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Backoff schedule between failed delivery attempts: exponential with
+/// deterministic per-batch jitter. There is no attempt cap: delivery never
+/// gives up on retryable errors (the breaker and spill grace handle
+/// persistent failure).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Attempts after the first failure before the line is quarantined.
-    pub max_retries: u32,
     /// Backoff before retry `k` (1-based) is `base * 2^(k-1)` plus jitter.
     pub base_backoff: Duration,
     /// Upper bound on any single backoff sleep.
     pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(50),
-        }
-    }
 }
 
 impl RetryPolicy {
@@ -180,15 +97,8 @@ mod tests {
     }
 
     #[test]
-    fn config_errors_have_messages() {
-        assert!(ConfigError::ZeroShards.to_string().contains("shard"));
-        assert!(ConfigError::ZeroCapacity.to_string().contains("capacity"));
-    }
-
-    #[test]
     fn backoff_grows_and_caps() {
         let r = RetryPolicy {
-            max_retries: 8,
             base_backoff: Duration::from_millis(2),
             max_backoff: Duration::from_millis(20),
         };

@@ -1,20 +1,48 @@
 //! Persistent dead-letter log: quarantined lines as replayable JSONL.
 //!
-//! The in-memory dead-letter queue (see [`crate::supervisor`]) vanishes
-//! with the process; under `--state-dir` every quarantined line is also
-//! appended here, one JSON object per line, so poison lines survive
-//! restarts and can be replayed after a parser fix. The file is
-//! size-capped via [`RotatingLog`]: past the cap it rotates to `<name>.1`
-//! (older generations shift up, a bounded number are retained), and every
-//! byte deleted by rotation is reported back so the caller can account it
-//! (`dlq_bytes_dropped`). Loading tolerates a torn final line — a crash
+//! Under `--state-dir` every line the sources divert under the
+//! `dead-letter` overload policy is appended here, one JSON object per
+//! line, so diverted lines survive restarts and can be replayed once the
+//! pipeline catches up. The file is size-capped via [`RotatingLog`]:
+//! past the cap it rotates to `<name>.1` (older generations shift up, a
+//! bounded number are retained), and every byte deleted by rotation is
+//! reported back so the caller can account it (`dlq_bytes_dropped`). Loading tolerates a torn final line — a crash
 //! mid-append loses at most that line.
 
 use super::rotate::RotatingLog;
 use super::DurabilityError;
-use crate::supervisor::{DeadLetter, FailureReason};
 use monilog_model::trace::json_string;
 use std::path::{Path, PathBuf};
+
+/// Why a line ended up in the dead-letter log. `Panic` and `WorkerCrash`
+/// are only ever read back from logs written by earlier releases; the
+/// shipped sources write `Overload`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailureReason {
+    /// Every parse attempt (original + retries) panicked.
+    Panic,
+    /// The ingest queue was saturated under the `DeadLetter` overload
+    /// policy.
+    Overload,
+    /// The line was in flight when its worker crashed.
+    WorkerCrash,
+}
+
+/// A quarantined line with enough context to triage or replay it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DeadLetter {
+    pub seq: u64,
+    /// The shard that was handling the line; `None` when it never entered
+    /// the pipeline (overload diversion happens before routing).
+    pub shard: Option<usize>,
+    /// Materialized from the arena-backed line at quarantine time: dead
+    /// letters outlive arrival buffers (they are persisted and replayed),
+    /// so they own their bytes.
+    pub line: String,
+    pub reason: FailureReason,
+    /// Parse attempts made (0 when the line was never attempted).
+    pub attempts: u32,
+}
 
 /// Rotated generations kept by default (matches the old one-previous-file
 /// behaviour).

@@ -13,8 +13,8 @@
 //!   of the full pipeline state, previous generation kept as fallback; a
 //!   torn or bit-flipped newest checkpoint falls back one generation
 //!   instead of failing recovery.
-//! - [`DeadLetterLog`] — quarantined poison lines persisted as replayable
-//!   size-capped JSONL, reloaded on restart so quarantine survives crashes.
+//! - [`DeadLetterLog`] — lines diverted under the `dead-letter` overload
+//!   policy, persisted as replayable size-capped JSONL.
 //! - [`signal`] — SIGTERM/SIGINT latching for graceful drain: quiesce,
 //!   final checkpoint, clean exit (a restart then replays zero lines).
 //!
@@ -28,7 +28,7 @@ pub mod rotate;
 pub mod signal;
 
 pub use checkpoint::{CheckpointStore, LoadedCheckpoint};
-pub use dlq::DeadLetterLog;
+pub use dlq::{DeadLetter, DeadLetterLog, FailureReason};
 pub use journal::{Journal, JournalConfig};
 pub use rotate::RotatingLog;
 pub use signal::{

@@ -841,7 +841,7 @@ mod tests {
     }
 
     fn test_registry() -> Arc<MetricsRegistry> {
-        let r = MetricsRegistry::shared_with_shards(2);
+        let r = MetricsRegistry::shared();
         PipelineMetrics::add(&r.counters().lines_ingested, 42);
         r.stage(Stage::Parse).record(Duration::from_micros(15));
         r
@@ -940,10 +940,6 @@ mod tests {
         assert!(body.contains("monilog_lines_ingested_total 42"), "{body}");
         assert!(
             body.contains("monilog_stage_latency_seconds_count{stage=\"parse_exec\"} 1"),
-            "{body}"
-        );
-        assert!(
-            body.contains("monilog_shard_queue_depth{shard=\"1\"}"),
             "{body}"
         );
     }

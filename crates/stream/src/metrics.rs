@@ -14,23 +14,9 @@
 //! - `templates_discovered` — new templates minted by the parser.
 //! - `anomalies_reported` — anomaly reports emitted downstream.
 //!
-//! Fault tolerance (see [`crate::supervisor`]):
-//! - `worker_restarts` — shard workers respawned after a crash; each
-//!   restart warm-starts from the shard's last template snapshot.
-//! - `lines_quarantined` — lines moved to the dead-letter queue, either
-//!   after exhausting parse retries (poison lines) or because they were
-//!   in flight when a worker crashed, or shed there by the
-//!   `DeadLetter` overload policy.
-//! - `lines_shed` — lines dropped at `submit()` by the `ShedToCatchAll`
-//!   overload policy and accounted to the reserved catch-all template.
-//! - `retries_attempted` — individual parse retry attempts (a line that
-//!   succeeds on its second try contributes 1).
-//!
-//! Batched fast path (see [`crate::service`] and the Drain match cache):
-//! - `batches_submitted` — batches accepted by `submit_batch` (a single
-//!   `submit` counts as a batch of one).
-//! - `cache_hits` / `cache_misses` — per-shard Drain match-cache outcomes,
-//!   summed across shards. Hit rate = hits / (hits + misses).
+//! Drain match cache:
+//! - `cache_hits` / `cache_misses` — Drain match-cache outcomes. Hit
+//!   rate = hits / (hits + misses).
 //!
 //! Durability (see [`crate::durable`]):
 //! - `checkpoints_written` — durable pipeline checkpoints committed to the
@@ -94,11 +80,6 @@ pub struct PipelineMetrics {
     pub duplicates_dropped: AtomicU64,
     pub templates_discovered: AtomicU64,
     pub anomalies_reported: AtomicU64,
-    pub worker_restarts: AtomicU64,
-    pub lines_quarantined: AtomicU64,
-    pub lines_shed: AtomicU64,
-    pub retries_attempted: AtomicU64,
-    pub batches_submitted: AtomicU64,
     pub cache_hits: AtomicU64,
     pub cache_misses: AtomicU64,
     pub checkpoints_written: AtomicU64,
@@ -157,11 +138,6 @@ impl PipelineMetrics {
                 Self::get(&self.templates_discovered),
             ),
             ("anomalies_reported", Self::get(&self.anomalies_reported)),
-            ("worker_restarts", Self::get(&self.worker_restarts)),
-            ("lines_quarantined", Self::get(&self.lines_quarantined)),
-            ("lines_shed", Self::get(&self.lines_shed)),
-            ("retries_attempted", Self::get(&self.retries_attempted)),
-            ("batches_submitted", Self::get(&self.batches_submitted)),
             ("cache_hits", Self::get(&self.cache_hits)),
             ("cache_misses", Self::get(&self.cache_misses)),
             ("checkpoints_written", Self::get(&self.checkpoints_written)),
@@ -211,15 +187,13 @@ impl PipelineMetrics {
         ]
     }
 
-    /// Typed counters-only snapshot (no stage histograms or shard gauges —
-    /// use [`crate::observe::MetricsRegistry::snapshot`] for those). Its
+    /// Typed counters-only snapshot (no stage histograms — use [`crate::observe::MetricsRegistry::snapshot`] for those). Its
     /// `Display` impl keeps the old one-line human-readable form.
     pub fn snapshot(&self) -> crate::observe::MetricsSnapshot {
         crate::observe::MetricsSnapshot {
             counters: self.counter_values(),
             stages: Vec::new(),
             batch_sizes: crate::observe::SizeSnapshot::default(),
-            shards: Vec::new(),
             rates: crate::observe::RateSnapshot::default(),
         }
     }
@@ -265,11 +239,6 @@ mod tests {
             "duplicates_dropped",
             "templates_discovered",
             "anomalies_reported",
-            "worker_restarts",
-            "lines_quarantined",
-            "lines_shed",
-            "retries_attempted",
-            "batches_submitted",
             "cache_hits",
             "cache_misses",
             "checkpoints_written",
@@ -302,23 +271,25 @@ mod tests {
                 "{field} missing from typed snapshot"
             );
         }
-        assert_eq!(snap.counters.len(), 36);
+        assert_eq!(snap.counters.len(), 31);
     }
 
     #[test]
     fn snapshot_reports_fault_tolerance_counters() {
         let m = PipelineMetrics::default();
-        PipelineMetrics::incr(&m.worker_restarts);
-        PipelineMetrics::add(&m.lines_quarantined, 3);
-        PipelineMetrics::add(&m.lines_shed, 7);
-        PipelineMetrics::add(&m.retries_attempted, 11);
+        PipelineMetrics::add(&m.sources_lines_shed, 7);
+        PipelineMetrics::add(&m.sources_dead_lettered, 3);
+        PipelineMetrics::add(&m.dlq_bytes_dropped, 11);
         let snap = m.snapshot();
-        assert_eq!(snap.counter("worker_restarts"), Some(1));
-        assert_eq!(snap.counter("lines_quarantined"), Some(3));
-        assert_eq!(snap.counter("lines_shed"), Some(7));
-        assert_eq!(snap.counter("retries_attempted"), Some(11));
+        assert_eq!(snap.counter("sources_lines_shed"), Some(7));
+        assert_eq!(snap.counter("sources_dead_lettered"), Some(3));
+        assert_eq!(snap.counter("dlq_bytes_dropped"), Some(11));
         let s = snap.to_string();
-        for field in ["worker_restarts=1", "lines_quarantined=3", "lines_shed=7"] {
+        for field in [
+            "sources_lines_shed=7",
+            "sources_dead_lettered=3",
+            "dlq_bytes_dropped=11",
+        ] {
             assert!(s.contains(field), "{field} missing from {s}");
         }
     }

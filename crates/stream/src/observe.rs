@@ -1,5 +1,5 @@
-//! Pipeline observability: stage latency histograms, per-shard gauges,
-//! and typed metric snapshots.
+//! Pipeline observability: stage latency histograms and typed metric
+//! snapshots.
 //!
 //! The paper frames MoniLog as an *automated monitoring* system, and its
 //! planned experiments (§V) hinge on the parser being "the most efficient
@@ -12,8 +12,7 @@
 //!   and read the exact max.
 //! - [`Stage`] — the instrumented pipeline stages (ingest, merge/dedup,
 //!   parse, window assembly, detect, classify).
-//! - [`MetricsRegistry`] — one histogram per stage plus per-shard gauges
-//!   (queue depth, templates, restarts) on top of the
+//! - [`MetricsRegistry`] — one histogram per stage on top of the
 //!   [`PipelineMetrics`] counters.
 //! - [`MetricsSnapshot`] — a typed, serializable point-in-time view that
 //!   renders to Prometheus text format and JSON (see [`crate::export`]
@@ -25,7 +24,7 @@
 //! power-of-two octave from 2^10 ns (≈1 µs) to 2^33 ns (≈8.6 s) is split
 //! into 4 linear sub-buckets, bracketed by an underflow bucket (< 1.024 µs)
 //! and an overflow bucket. Bucket boundaries are fixed at compile time, so
-//! histograms from different runs and different shards are directly
+//! histograms from different runs and different threads are directly
 //! mergeable and the relative quantile error is bounded by the sub-bucket
 //! width (≤ 25%, plus exact max).
 
@@ -429,24 +428,6 @@ impl SizeSnapshot {
     }
 }
 
-/// Per-shard gauges of a sharded parse deployment.
-#[derive(Debug, Default)]
-pub struct ShardGauges {
-    /// Items waiting in the shard's input queue (sampled by the worker).
-    pub queue_depth: AtomicU64,
-    /// Templates in the shard's store.
-    pub templates: AtomicU64,
-    /// Times this shard's worker was respawned.
-    pub restarts: AtomicU64,
-}
-
-impl ShardGauges {
-    /// Set a gauge to an absolute value.
-    pub fn set(gauge: &AtomicU64, value: u64) {
-        gauge.store(value, Ordering::Relaxed);
-    }
-}
-
 /// Interval throughput gauges derived from two consecutive snapshots.
 ///
 /// `/metrics` counters are cumulative; an operator eyeballing the endpoint
@@ -491,8 +472,8 @@ impl RateWindow {
     }
 }
 
-/// The observability root of one pipeline run: counters, per-stage latency
-/// histograms, and per-shard gauges. Shareable across every pipeline
+/// The observability root of one pipeline run: counters and per-stage
+/// latency histograms. Shareable across every pipeline
 /// thread; all recording is lock-free (the rate window takes a Mutex, but
 /// only snapshots touch it).
 #[derive(Debug)]
@@ -501,23 +482,15 @@ pub struct MetricsRegistry {
     stages: [LatencyHistogram; Stage::ALL.len()],
     /// Lines per submitted batch across the batched ingestion path.
     batch_sizes: SizeHistogram,
-    shards: Vec<ShardGauges>,
     rates: Mutex<RateWindow>,
 }
 
 impl MetricsRegistry {
-    /// A registry with no shard gauges (sequential deployments).
     pub fn shared() -> Arc<Self> {
-        Self::shared_with_shards(0)
-    }
-
-    /// A registry tracking `n_shards` shard gauges (sharded services).
-    pub fn shared_with_shards(n_shards: usize) -> Arc<Self> {
         Arc::new(MetricsRegistry {
             counters: PipelineMetrics::shared(),
             stages: std::array::from_fn(|_| LatencyHistogram::new()),
             batch_sizes: SizeHistogram::new(),
-            shards: (0..n_shards).map(|_| ShardGauges::default()).collect(),
             rates: Mutex::new(RateWindow::new()),
         })
     }
@@ -574,15 +547,6 @@ impl MetricsRegistry {
         &self.batch_sizes
     }
 
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The gauges of shard `i`.
-    pub fn shard(&self, i: usize) -> &ShardGauges {
-        &self.shards[i]
-    }
-
     /// Advance the rate window and return the freshest interval rates.
     /// Intervals shorter than [`MIN_RATE_INTERVAL`] keep the previously
     /// closed interval's rates rather than divide by a near-zero Δt.
@@ -635,17 +599,6 @@ impl MetricsRegistry {
                 })
                 .collect(),
             batch_sizes: self.batch_sizes.snapshot(),
-            shards: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(shard, g)| ShardSnapshot {
-                    shard,
-                    queue_depth: g.queue_depth.load(Ordering::Relaxed),
-                    templates: g.templates.load(Ordering::Relaxed),
-                    restarts: g.restarts.load(Ordering::Relaxed),
-                })
-                .collect(),
         }
     }
 }
@@ -657,17 +610,8 @@ pub struct StageSnapshot {
     pub latency: HistogramSnapshot,
 }
 
-/// One shard's gauges inside a [`MetricsSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSnapshot {
-    pub shard: usize,
-    pub queue_depth: u64,
-    pub templates: u64,
-    pub restarts: u64,
-}
-
 /// Typed, serializable snapshot of a pipeline's metrics: every counter,
-/// every stage latency histogram, every shard gauge. Renders to
+/// every stage latency histogram. Renders to
 /// Prometheus text format ([`MetricsSnapshot::to_prometheus`]), JSON
 /// ([`MetricsSnapshot::to_json`]), and a one-line human summary
 /// (`Display`).
@@ -680,8 +624,6 @@ pub struct MetricsSnapshot {
     /// Distribution of lines per submitted batch (empty when nothing
     /// went through the batched ingestion path).
     pub batch_sizes: SizeSnapshot,
-    /// Gauges per shard (empty for sequential deployments).
-    pub shards: Vec<ShardSnapshot>,
     /// Interval throughput rates (zero until two spaced snapshots close
     /// an interval — the exporter's refresh tick does this live).
     pub rates: RateSnapshot,
@@ -708,7 +650,7 @@ impl MetricsSnapshot {
     /// Render in Prometheus text exposition format. Counters become
     /// `monilog_<name>_total`, stage histograms become
     /// `monilog_stage_latency_seconds{stage="..."}` with cumulative `le`
-    /// buckets, shard gauges become `monilog_shard_*{shard="..."}`.
+    /// buckets.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         for (name, value) in &self.counters {
@@ -790,29 +732,6 @@ impl MetricsSnapshot {
                 self.batch_sizes.max
             ));
         }
-        if !self.shards.is_empty() {
-            out.push_str("# TYPE monilog_shard_queue_depth gauge\n");
-            for s in &self.shards {
-                out.push_str(&format!(
-                    "monilog_shard_queue_depth{{shard=\"{}\"}} {}\n",
-                    s.shard, s.queue_depth
-                ));
-            }
-            out.push_str("# TYPE monilog_shard_templates gauge\n");
-            for s in &self.shards {
-                out.push_str(&format!(
-                    "monilog_shard_templates{{shard=\"{}\"}} {}\n",
-                    s.shard, s.templates
-                ));
-            }
-            out.push_str("# TYPE monilog_shard_restarts_total counter\n");
-            for s in &self.shards {
-                out.push_str(&format!(
-                    "monilog_shard_restarts_total{{shard=\"{}\"}} {}\n",
-                    s.shard, s.restarts
-                ));
-            }
-        }
         if self.rates.interval_secs > 0.0 {
             out.push_str(&format!(
                 "# TYPE monilog_lines_per_second gauge\nmonilog_lines_per_second {:.3}\n",
@@ -829,8 +748,8 @@ impl MetricsSnapshot {
     }
 
     /// Render as a JSON object:
-    /// `{"counters":{...},"stages":{...},"shards":[...]}`. Hand-rolled —
-    /// the vendored serde shim has no format layer (see vendor/README.md).
+    /// `{"counters":{...},"stages":{...},"batch_sizes":{...},"rates":{...}}`.
+    /// Hand-rolled: the workspace has no serialization dependency.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
         for (i, (name, value)) in self.counters.iter().enumerate() {
@@ -884,18 +803,8 @@ impl MetricsSnapshot {
                 out.push_str(&format!("[{bound},{cum}]"));
             }
         }
-        out.push_str("]},\"shards\":[");
-        for (i, s) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"shard\":{},\"queue_depth\":{},\"templates\":{},\"restarts\":{}}}",
-                s.shard, s.queue_depth, s.templates, s.restarts
-            ));
-        }
         out.push_str(&format!(
-            "],\"rates\":{{\"interval_secs\":{:.3},\"lines_per_second\":{:.3},\"stages\":{{",
+            "]}},\"rates\":{{\"interval_secs\":{:.3},\"lines_per_second\":{:.3},\"stages\":{{",
             self.rates.interval_secs, self.rates.lines_per_second
         ));
         for (i, (stage, rate)) in self.rates.stages.iter().enumerate() {
@@ -956,13 +865,6 @@ impl fmt::Display for MetricsSnapshot {
                 self.batch_sizes.count,
                 self.batch_sizes.mean(),
                 self.batch_sizes.max
-            )?;
-        }
-        for s in &self.shards {
-            write!(
-                f,
-                " shard{}[q={} templates={} restarts={}]",
-                s.shard, s.queue_depth, s.templates, s.restarts
             )?;
         }
         if self.rates.interval_secs > 0.0 {
@@ -1179,34 +1081,29 @@ mod tests {
     }
 
     #[test]
-    fn registry_snapshot_covers_stages_and_shards() {
-        let r = MetricsRegistry::shared_with_shards(2);
+    fn registry_snapshot_covers_stages() {
+        let r = MetricsRegistry::shared();
         r.time(Stage::Parse, || std::hint::black_box(7 * 6));
         r.stage(Stage::Detect).record(Duration::from_micros(250));
-        ShardGauges::set(&r.shard(1).queue_depth, 17);
-        ShardGauges::set(&r.shard(1).templates, 4);
         let s = r.snapshot();
         assert_eq!(s.stages.len(), Stage::ALL.len());
         assert_eq!(s.stage("parse_exec").unwrap().count, 1);
         assert_eq!(s.stage("detect").unwrap().count, 1);
-        assert_eq!(s.shards.len(), 2);
-        assert_eq!(s.shards[1].queue_depth, 17);
-        assert_eq!(s.shards[1].templates, 4);
     }
 
     /// Mirror of `snapshot_mentions_every_counter` for the typed snapshot:
     /// every counter and every stage histogram appears in both renderings.
     #[test]
     fn renderings_mention_every_counter_and_stage() {
-        let r = MetricsRegistry::shared_with_shards(1);
+        let r = MetricsRegistry::shared();
         PipelineMetrics::incr(&r.counters().lines_ingested);
         r.stage(Stage::Ingest).record(Duration::from_micros(3));
         let s = r.snapshot();
         let prom = s.to_prometheus();
         let json = s.to_json();
-        // The PR 3 batching/caching counters must be part of the stable
+        // The Drain match-cache counters must be part of the stable
         // vocabulary, not just whatever happens to be in `counters`.
-        for name in ["batches_submitted", "cache_hits", "cache_misses"] {
+        for name in ["cache_hits", "cache_misses"] {
             assert!(
                 s.counters.iter().any(|(n, _)| *n == name),
                 "{name} missing from snapshot counters"
@@ -1234,8 +1131,6 @@ mod tests {
                 "{stage} missing from json: {json}"
             );
         }
-        assert!(prom.contains("monilog_shard_queue_depth{shard=\"0\"}"));
-        assert!(json.contains("\"shards\":[{\"shard\":0,"));
         // Histogram invariants in the prometheus text: +Inf bucket present
         // and equal to the count.
         assert!(prom.contains("le=\"+Inf\"} 1"));
@@ -1260,14 +1155,12 @@ mod tests {
     fn display_is_one_line_and_complete() {
         let r = MetricsRegistry::shared();
         PipelineMetrics::add(&r.counters().lines_parsed, 5);
-        PipelineMetrics::add(&r.counters().batches_submitted, 2);
         PipelineMetrics::add(&r.counters().cache_hits, 40);
         PipelineMetrics::add(&r.counters().cache_misses, 3);
         r.stage(Stage::Parse).record(Duration::from_micros(10));
         let line = r.snapshot().to_string();
         assert!(!line.contains('\n'));
         assert!(line.contains("lines_parsed=5"), "{line}");
-        assert!(line.contains("batches_submitted=2"), "{line}");
         assert!(line.contains("cache_hits=40"), "{line}");
         assert!(line.contains("cache_misses=3"), "{line}");
         assert!(line.contains("parse_exec[p50="), "{line}");

@@ -17,8 +17,8 @@
 //!   trace spans).
 //! - [`StatusBoard`] + [`render_status`] — one JSON document scoring the
 //!   whole pipeline (`ok | degraded | critical` with machine-readable
-//!   reasons): per-stage p99 vs. a latency budget, shard health, breaker
-//!   states, WAL/checkpoint lag, queue depth, cache hit rates.
+//!   reasons): per-stage p99 vs. a latency budget, breaker states,
+//!   router-link state, WAL/checkpoint lag, queue depth, cache hit rates.
 //! - [`ReloadableConfig`] — a versioned atomic-swap snapshot of the
 //!   allowlisted runtime knobs, driven by `POST /config` and SIGHUP
 //!   (see [`crate::durable::signal`]), audit-logged to the state dir,
@@ -33,14 +33,13 @@
 //! atomic read per line), severity routing (consulted per emitted
 //! report), ingest batching (re-read per `recv_batch` call), and the
 //! sink retry cap (read per backoff computation). Everything else —
-//! listener addresses, shard counts, state directory, journal layout —
-//! is structural: changing it means re-binding sockets or re-sharding
-//! state, which is a restart, not a reload.
+//! listener addresses, state directory, journal layout — is structural:
+//! changing it means re-binding sockets or re-opening state, which is a
+//! restart, not a reload.
 
 use crate::config::OverloadPolicy;
 use crate::metrics::PipelineMetrics;
 use crate::observe::MetricsSnapshot;
-use crate::supervisor::ShardHealth;
 use crate::trace::Tracer;
 use monilog_model::trace::json_string;
 use monilog_model::{AnomalyReport, Criticality, TraceId};
@@ -476,15 +475,9 @@ impl StatusLevel {
 
 /// Health facts only the monitor loop can see — published into the
 /// [`StatusBoard`] each batch so the exporter thread renders `/status`
-/// without reaching into the pipeline, supervisor, or delivery worker.
+/// without reaching into the pipeline or delivery worker.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatusInputs {
-    pub shards_total: usize,
-    pub shards_alive: usize,
-    pub shards_stalled: usize,
-    /// Any shard in crash-loop degradation (supervisor gave up respawning
-    /// at full capability).
-    pub crash_looping: bool,
     /// Lines waiting in the ingest queue.
     pub ingest_queue_depth: u64,
     /// `(route name, breaker state name)` per delivery route.
@@ -504,17 +497,6 @@ pub struct StatusInputs {
     /// monitor — local sources keep flowing — so it reports through the
     /// degraded tier, never as a 503.
     pub router_link: Option<(String, String)>,
-}
-
-impl StatusInputs {
-    /// Fold a `SupervisedParseService::shard_status()` view into the
-    /// shard fields.
-    pub fn apply_shard_status(&mut self, shards: &[ShardHealth]) {
-        self.shards_total = shards.len();
-        self.shards_alive = shards.iter().filter(|h| h.alive).count();
-        self.shards_stalled = shards.iter().filter(|h| h.stalled).count();
-        self.crash_looping = shards.iter().any(|h| h.degraded);
-    }
 }
 
 /// Mailbox between the monitor loop (publisher) and the exporter thread
@@ -551,12 +533,6 @@ impl StatusBoard {
 /// ready.
 pub fn readiness_reasons(inputs: &StatusInputs) -> Vec<String> {
     let mut reasons = Vec::new();
-    if inputs.crash_looping {
-        reasons.push("crash-loop degradation: a shard exhausted its respawn budget".to_string());
-    }
-    if inputs.shards_total > 0 && inputs.shards_stalled == inputs.shards_total {
-        reasons.push(format!("all {} shards stalled", inputs.shards_total));
-    }
     if inputs.delivery_spilling {
         reasons.push("delivery layer is spilling reports to disk".to_string());
     }
@@ -568,12 +544,6 @@ pub fn readiness_reasons(inputs: &StatusInputs) -> Vec<String> {
 /// `GET /readyz` so probes distinguish "healthy" from "limping".
 pub fn degraded_reasons(inputs: &StatusInputs) -> Vec<String> {
     let mut reasons = Vec::new();
-    if inputs.shards_stalled > 0 && inputs.shards_stalled < inputs.shards_total {
-        reasons.push(format!(
-            "{}/{} shards stalled",
-            inputs.shards_stalled, inputs.shards_total
-        ));
-    }
     for (route, state) in &inputs.breakers {
         if state != "closed" {
             reasons.push(format!("breaker {route} {state}"));
@@ -671,7 +641,6 @@ pub fn render_status(
     let json = format!(
         "{{\"status\":\"{}\",\"reasons\":[{}],\"config_version\":{config_version},\
          \"latency_budget_ms\":{budget_ms},\"stages\":{{{stages}}},\
-         \"shards\":{{\"total\":{},\"alive\":{},\"stalled\":{},\"crash_looping\":{}}},\
          \"queue\":{{\"depth\":{}}},\
          \"delivery\":{{\"pending_bytes\":{},\"spilling\":{},\"breakers\":{{{breakers}}}}},\
          \"cluster\":{cluster},\
@@ -682,10 +651,6 @@ pub fn render_status(
          \"rates\":{{\"interval_secs\":{:.3},\"lines_per_second\":{:.3}}}}}",
         level.name(),
         reasons_json.join(","),
-        inputs.shards_total,
-        inputs.shards_alive,
-        inputs.shards_stalled,
-        inputs.crash_looping,
         inputs.ingest_queue_depth,
         inputs.delivery_pending_bytes,
         inputs.delivery_spilling,
@@ -1178,8 +1143,6 @@ mod tests {
         let registry = crate::observe::MetricsRegistry::shared();
         let snap = registry.snapshot();
         let healthy = StatusInputs {
-            shards_total: 2,
-            shards_alive: 2,
             breakers: vec![("webhook".to_string(), "closed".to_string())],
             ..StatusInputs::default()
         };
@@ -1208,36 +1171,25 @@ mod tests {
         assert!(json.contains("\"over_budget\":true"), "{json}");
 
         // Critical conditions are the readiness reasons.
-        for bad in [
-            StatusInputs {
-                crash_looping: true,
-                ..healthy.clone()
-            },
-            StatusInputs {
-                shards_total: 2,
-                shards_alive: 0,
-                shards_stalled: 2,
-                ..healthy.clone()
-            },
-            StatusInputs {
-                delivery_spilling: true,
-                ..healthy.clone()
-            },
-        ] {
-            assert!(!readiness_reasons(&bad).is_empty());
-            let (level, json) = render_status(&snap, &bad, 250, 7);
-            assert_eq!(level, StatusLevel::Critical, "{json}");
-        }
-        // One stalled shard of two is degraded, not critical.
-        let partial = StatusInputs {
-            shards_total: 2,
-            shards_alive: 2,
-            shards_stalled: 1,
+        let spilling = StatusInputs {
+            delivery_spilling: true,
             ..healthy.clone()
         };
-        assert!(readiness_reasons(&partial).is_empty());
-        let (level, _) = render_status(&snap, &partial, 250, 7);
+        assert!(!readiness_reasons(&spilling).is_empty());
+        let (level, json) = render_status(&snap, &spilling, 250, 7);
+        assert_eq!(level, StatusLevel::Critical, "{json}");
+        // A lost router link is degraded, not critical.
+        let unlinked = StatusInputs {
+            router_link: Some(("degraded".to_string(), "router-link-lost".to_string())),
+            ..healthy.clone()
+        };
+        assert!(readiness_reasons(&unlinked).is_empty());
+        let (level, json) = render_status(&snap, &unlinked, 250, 7);
         assert_eq!(level, StatusLevel::Degraded);
+        assert!(
+            json.contains("router link degraded: router-link-lost"),
+            "{json}"
+        );
     }
 
     #[test]

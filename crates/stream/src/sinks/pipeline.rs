@@ -43,9 +43,7 @@ pub type AcceptedReport = BufferedReport;
 pub struct DeliveryConfig {
     /// Directory holding per-route buffer and spill files.
     pub dir: PathBuf,
-    /// Backoff policy between failed delivery attempts (`max_retries` is
-    /// ignored: delivery never gives up on retryable errors — the breaker
-    /// and spill grace handle persistent failure).
+    /// Backoff policy between failed delivery attempts.
     pub retry: RetryPolicy,
     pub breaker: BreakerConfig,
     /// Reports per delivery attempt.
@@ -66,7 +64,6 @@ impl DeliveryConfig {
         DeliveryConfig {
             dir: dir.into(),
             retry: RetryPolicy {
-                max_retries: u32::MAX,
                 base_backoff: Duration::from_millis(50),
                 max_backoff: Duration::from_millis(5_000),
             },

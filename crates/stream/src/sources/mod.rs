@@ -15,17 +15,14 @@
 //!   resumes exactly where ingestion stopped.
 //!
 //! Every source feeds one bounded [`SourceQueue`]; the consumer (the CLI's
-//! durable run loop, or [`crate::supervisor::SupervisedParseService`]
-//! `submit_batch` in library use) drains it in batches. When the queue is
+//! durable run loop) drains it in batches. When the queue is
 //! full the configured [`OverloadPolicy`] applies *at the source boundary*:
 //!
 //! - [`OverloadPolicy::Block`]: TCP connections and file tails stop
 //!   reading (dropping read interest lets the kernel socket buffer fill and
 //!   push backpressure to the sender); HTTP answers 429; UDP must drop.
 //! - [`OverloadPolicy::ShedToCatchAll`]: the line is dropped and counted
-//!   (`sources_lines_shed`) — the parse-stage catch-all accounting only
-//!   exists once a line is *in* the pipeline, so at the boundary shedding
-//!   is a counted drop.
+//!   (`sources_lines_shed`).
 //! - [`OverloadPolicy::DeadLetter`]: the raw line is appended to the
 //!   dead-letter log with an overload marker for later replay.
 
@@ -40,12 +37,11 @@ pub use syslog::{parse_syslog, SyslogMessage};
 pub use tail::{glob_match, GlobResume, TailCursor, TailGlobSpec, TailSpec, MAX_TAIL_SLOTS};
 
 use crate::config::OverloadPolicy;
-use crate::durable::DeadLetterLog;
+use crate::durable::{DeadLetter, DeadLetterLog, FailureReason};
 use crate::export::{bind_reusable, register_metrics_listener, MetricsService};
 use crate::metrics::PipelineMetrics;
 use crate::net::{AsLoopFd, EventLoop, Handler, Interest, LoopCtx, Next, Waker};
 use crate::observe::MetricsRegistry;
-use crate::supervisor::{DeadLetter, FailureReason};
 use crate::trace::Tracer;
 use monilog_model::ByteLine;
 use monilog_model::SourceId;
@@ -777,7 +773,7 @@ mod tests {
     }
 
     fn registry() -> Arc<MetricsRegistry> {
-        MetricsRegistry::shared_with_shards(1)
+        MetricsRegistry::shared()
     }
 
     fn drain_for(queue: &SourceQueue, want: usize, secs: u64) -> Vec<SourceEvent> {

@@ -5,10 +5,10 @@
 //! sample of log lines (default 1/1024) is traced end-to-end: every stage
 //! a sampled line passes through records a [`SpanRecord`] — enter/exit
 //! timestamps, shard id, template id, cache hit/miss — into a per-shard
-//! lock-free ring buffer. The rings double as a *flight recorder*: on a
-//! shard crash, crash-loop degradation or a quarantine event the
-//! supervisor dumps their contents to disk, so post-mortem evidence
-//! survives the worker that produced it.
+//! lock-free ring buffer. The rings double as a *flight recorder*:
+//! `/flight` serves their contents live, and [`Tracer::dump`] writes them
+//! to disk so post-mortem evidence can outlive the process state that
+//! produced it.
 //!
 //! ## Design notes
 //!

@@ -1,13 +1,12 @@
 //! Integration tests for network ingestion: the syslog/HTTP/tail sources
 //! must feed the pipeline a line stream byte-identical to file ingestion —
-//! so the anomaly set cannot depend on how the logs travelled — and the
-//! source queue must wire cleanly into the batched `submit_batch` path.
+//! so the anomaly set cannot depend on how the logs travelled.
 
 use monilog_core::cli::{run, CliCommand, DurableOptions, HeaderChoice, SourcesOptions};
 use monilog_core::{FaultToleranceConfig, ObservabilityConfig};
 use monilog_loggen::{GenLog, HdfsWorkload, HdfsWorkloadConfig};
 use monilog_stream::sources::parse_syslog;
-use monilog_stream::{BatchConfig, FrameDecoder, SourcesConfig, SourcesServer};
+use monilog_stream::FrameDecoder;
 use proptest::prelude::*;
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -47,7 +46,6 @@ fn train_checkpoint(dir: &Path) -> PathBuf {
         checkpoint: ckpt.to_string_lossy().into_owned(),
         format: HeaderChoice::Dash,
         fault: FaultToleranceConfig::default(),
-        batch: BatchConfig::default(),
         observability: ObservabilityConfig::default(),
         trace_out: None,
     })
@@ -79,6 +77,8 @@ fn durable_opts(state_dir: &Path) -> DurableOptions {
         sinks: None,
         config_file: None,
         latency_budget_ms: 250,
+        batch_lines: None,
+        batch_deadline_ms: None,
     }
 }
 
@@ -144,7 +144,6 @@ fn syslog_fed_monitor_matches_file_fed_reference() {
         checkpoint: ckpt.to_string_lossy().into_owned(),
         format: HeaderChoice::Dash,
         fault: FaultToleranceConfig::default(),
-        batch: BatchConfig::default(),
         observability: ObservabilityConfig::default(),
         trace_out: None,
         durable: Some(durable_opts(&ref_state)),
@@ -166,7 +165,6 @@ fn syslog_fed_monitor_matches_file_fed_reference() {
         checkpoint: ckpt.to_string_lossy().into_owned(),
         format: HeaderChoice::Dash,
         fault: FaultToleranceConfig::default(),
-        batch: BatchConfig::default(),
         observability: ObservabilityConfig::default(),
         trace_out: None,
         durable: Some(durable_opts(&net_state)),
@@ -213,60 +211,6 @@ fn rfc3164_envelope_round_trips_a_dash_header_line() {
     let line = "2020-09-13 13:26:40 - block blk_1 of size 6710 from /10.0.0.1";
     let framed = format!("<13>Sep 13 13:26:40 host app: {line}");
     assert_eq!(parse_syslog(&framed, 2020).msg, line);
-}
-
-/// Library wiring: a `SourceQueue` drains straight into the supervised
-/// parse service's `submit_batch` path.
-#[test]
-fn source_queue_feeds_submit_batch() {
-    use monilog_stream::{MetricsRegistry, SupervisedParseService, SupervisorConfig};
-
-    let registry = MetricsRegistry::shared_with_shards(2);
-    let (server, queue) = SourcesServer::spawn(
-        SourcesConfig {
-            syslog_tcp: Some("127.0.0.1:0".parse().unwrap()),
-            ..SourcesConfig::default()
-        },
-        registry,
-        None,
-        None,
-    )
-    .unwrap();
-    let service = SupervisedParseService::spawn(SupervisorConfig {
-        n_shards: 2,
-        ..SupervisorConfig::default()
-    })
-    .unwrap();
-
-    let mut conn = TcpStream::connect(server.syslog_tcp_addr().unwrap()).unwrap();
-    let total = 64u64;
-    for i in 0..total {
-        conn.write_all(format!("<14>job step alpha {i}\n").as_bytes())
-            .unwrap();
-    }
-    drop(conn);
-
-    let mut submitted = 0u64;
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while submitted < total && Instant::now() < deadline {
-        let batch = queue.recv_batch(256, Duration::from_millis(50));
-        if batch.is_empty() {
-            continue;
-        }
-        let items: Vec<(u64, monilog_model::ByteLine)> = batch
-            .into_iter()
-            .map(|ev| {
-                submitted += 1;
-                (submitted, ev.line)
-            })
-            .collect();
-        service.submit_batch(items).expect("submit accepted");
-    }
-    assert_eq!(submitted, total, "every syslog line reaches submit_batch");
-    drop(server);
-    let (parsed, dead) = service.shutdown();
-    assert_eq!(parsed.len() as u64, total);
-    assert!(dead.is_empty());
 }
 
 /// Wrap a line in a syslog envelope + RFC 6587 framing, per-case choices.
